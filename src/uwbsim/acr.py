@@ -62,10 +62,6 @@ class NoiseModel:
     def sigma_n_sq(self) -> float:
         return noise_variance(self.N_f, self.E_g, self.N0, self.W, self.T_g)
 
-    @classmethod
-    def from_params(cls, params, E_g: float, N0: float) -> "NoiseModel":
-        return cls(params.N_f, E_g, N0, params.W, params.T_g)
-
 
 @dataclass
 class CorrSamples:
@@ -92,10 +88,6 @@ class CorrSamples:
     @property
     def window(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def n_padded(self) -> int:
-        return int(self.pad_mask.sum())
 
 
 def pad_mask_for(N: int, M: int) -> np.ndarray:

@@ -72,6 +72,8 @@ class ExperimentConfig:
             raise ConfigError("snr_db grid must be non-empty")
         if self.target_errors <= 0 or self.max_bits <= 0 or self.n_packets <= 0:
             raise ConfigError("stopping rule values must be positive")
+        if min(self.n_symbols, self.k_info, self.outer_iters, self.trace_packets) <= 0:
+            raise ConfigError("packet sizes and iteration counts must be positive")
         if self.path not in ("discrete", "waveform"):
             raise ConfigError(f"unknown path {self.path!r}")
         if self.channel_mode not in ("ideal", "cm2"):
@@ -91,9 +93,19 @@ class ExperimentConfig:
                               "impractically slow; lower n_symbols")
         if self.variance_factor not in (1, 2):
             raise ConfigError("likelihood variance factor must be 1 or 2")
+        # every window must fit in a packet, and block schemes must tile it
+        n_pkt = self.n_coded if self.test_case == 4 else self.n_symbols
         for m in self.m_list:
-            if not (1 <= int(m) <= 10):
-                raise ConfigError("M values must be in 1..10")
+            if not (1 <= int(m) <= min(10, n_pkt)):
+                raise ConfigError(f"M values must be in 1..{min(10, n_pkt)}")
+            if self.test_case == 4 and n_pkt % int(m) != 0:
+                raise ConfigError("block schemes need n_coded divisible by M")
+        if self.test_case == 4:
+            try:
+                ldpc.default_code(self.k_info, self.n_coded, self.code_seed)
+            except (ValueError, RuntimeError) as e:
+                raise ConfigError(f"no (3,6)-regular code for k_info={self.k_info}, "
+                                  f"n_coded={self.n_coded}: {e}") from e
 
 
 def default_config(test_case: int) -> ExperimentConfig:
@@ -466,11 +478,19 @@ def _detect_uncoded(scheme, samples, m, model_det, variance_factor):
                         variance_factor)
 
 
+def _uncoded_len(cfg, scheme, m) -> int:
+    """Symbols per packet; a packet of none would never end the point."""
+    n_use = cfg.n_symbols if scheme != "bmsdd" else m * (cfg.n_symbols // m)
+    if n_use <= 0:
+        raise ConfigError(f"{scheme} M={m} packets carry no bits")
+    return n_use
+
+
 def _uncoded_point_discrete(cfg, params, p_idx, scheme, m, eg_mode, snr):
     E_g = 1.0
     N0 = n0_for_snr(snr, E_g, 1.0, params)
     model = acr.NoiseModel(params.N_f, E_g, N0, params.W, params.T_g)
-    n_use = cfg.n_symbols if scheme != "bmsdd" else m * (cfg.n_symbols // m)
+    n_use = _uncoded_len(cfg, scheme, m)
     errors = 0
     bits = 0
     pkt = 0
@@ -498,7 +518,7 @@ def _uncoded_point_discrete(cfg, params, p_idx, scheme, m, eg_mode, snr):
 
 def _uncoded_point_waveform(cfg, params, p_idx, scheme, m, eg_mode, snr):
     ideal = _ideal_channel(params) if cfg.channel_mode == "ideal" else None
-    n_use = cfg.n_symbols if scheme != "bmsdd" else m * (cfg.n_symbols // m)
+    n_use = _uncoded_len(cfg, scheme, m)
     errors = 0
     bits = 0
     pkt = 0
@@ -637,9 +657,6 @@ def run_testcase4(cfg: ExperimentConfig, out_dir=None):
     cfg.validate()
     params = SystemParams()
     code = ldpc.default_code(cfg.k_info, cfg.n_coded, cfg.code_seed)
-    for m in cfg.m_list:
-        if cfg.n_coded % int(m) != 0:
-            raise ConfigError("block schemes need n_coded divisible by M")
     points = []
     for p_idx, snr in enumerate(cfg.snr_db):
         for scheme in cfg.schemes:

@@ -38,12 +38,15 @@ class LdpcCode:
         # var-ordering position of each check-ordered edge
         pos_in_var = np.empty(len(rows), dtype=np.int64)
         pos_in_var[by_var] = np.arange(len(rows))
+        # the decoder and the syndrome reshape the edge lists by these
+        # weights, which would count silently wrong on an irregular H
+        row_w, col_w = self.H.sum(axis=1), self.H.sum(axis=0)
+        if np.ptp(row_w) or np.ptp(col_w):
+            raise ValueError("H must have a regular row and column profile")
         self._edges["check_cols"] = cols[by_check]
-        self._edges["check_rows"] = rows[by_check]
-        self._edges["var_cols"] = cols[by_var]
         self._edges["c2v_scatter"] = pos_in_var[by_check]
-        self._edges["row_w"] = int(np.max(self.H.sum(axis=1)))
-        self._edges["col_w"] = int(np.max(self.H.sum(axis=0)))
+        self._edges["row_w"] = int(row_w[0])
+        self._edges["col_w"] = int(col_w[0])
 
     @property
     def n(self) -> int:
@@ -175,13 +178,16 @@ def extract_info(code: LdpcCode, codeword_bits: np.ndarray) -> np.ndarray:
 
 
 def check(code: LdpcCode, codeword_bits: np.ndarray) -> bool:
-    syn = (code.H.astype(np.int64) @ (np.asarray(codeword_bits, dtype=np.int64) & 1)) % 2
-    return not np.any(syn)
+    return syndrome_weight(code, codeword_bits) == 0
 
 
 def syndrome_weight(code: LdpcCode, hard_bits: np.ndarray) -> int:
-    syn = (code.H.astype(np.int64) @ (np.asarray(hard_bits, dtype=np.int64) & 1)) % 2
-    return int(syn.sum())
+    """Number of unsatisfied checks: XOR each check's row_w edge bits."""
+    bits = np.asarray(hard_bits, dtype=np.int64) & 1
+    if bits.shape != (code.n,):
+        raise ValueError(f"expected {code.n} bits")
+    per_check = bits[code._edges["check_cols"]].reshape(-1, code._edges["row_w"])
+    return int(np.count_nonzero(np.bitwise_xor.reduce(per_check, axis=1)))
 
 
 def decode(code: LdpcCode, channel_llr: np.ndarray, max_iter: int = 10,
@@ -195,9 +201,6 @@ def decode(code: LdpcCode, channel_llr: np.ndarray, max_iter: int = 10,
     row_w, col_w = ed["row_w"], ed["col_w"]
     n_checks = code.H.shape[0]
     c2v_var = np.zeros(n_edges)          # c2v messages in var ordering
-    var_cols = ed["var_cols"].reshape(code.n, col_w)
-    if not np.all(var_cols == var_cols[:, :1]):
-        raise AssertionError("decoder requires a regular column profile")
     hard = (llr < 0).astype(np.uint8)
     n_run = 0
     for it in range(max_iter):

@@ -12,20 +12,6 @@ import numpy as np
 
 
 @dataclass
-class Packet:
-    """One packet's views of the same payload along the transmit chain."""
-
-    info_bits: np.ndarray | None
-    coded_bits: np.ndarray | None
-    symbols: np.ndarray          # a_1..a_N, channel order
-    diff_symbols: np.ndarray     # d_0..d_N
-
-    @property
-    def n_symbols(self) -> int:
-        return len(self.symbols)
-
-
-@dataclass
 class InterleaverMap:
     """Permutation between code order and channel order.
 

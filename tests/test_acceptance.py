@@ -13,6 +13,8 @@ import pytest
 from uwbsim import acr, harness, ldpc, msdd, reference
 from uwbsim.harness import default_config
 
+pytestmark = pytest.mark.acceptance
+
 
 @pytest.fixture(scope="module")
 def oracle_report():

@@ -1,12 +1,14 @@
 """Experiment harness: configs, helpers, runners, and CSV reproducibility."""
 
 import os
+import signal
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from uwbsim import harness
+from uwbsim import cli, harness
 from uwbsim.harness import (BerPoint, ConfigError, apply_overrides,
                             default_config, interpolate_required_snr,
                             load_config_file, n0_for_snr, resolve_out_dir)
@@ -41,6 +43,11 @@ def test_default_configs_validate():
     dict(schemes=("ml",)),
     dict(variance_factor=3),
     dict(m_list=(11,)),
+    dict(n_symbols=0),
+    dict(outer_iters=0),        # the turbo loop raised a raw ValueError
+    dict(trace_packets=0),      # trace rows were NaN
+    # a window longer than the packet raised a raw ValueError
+    dict(schemes=("mmsdd",), m_list=(5,), n_symbols=3),
 ])
 def test_validate_rejects_bad_fields(patch):
     cfg = replace(default_config(3), **patch)
@@ -58,6 +65,59 @@ def test_validate_enforces_path_per_test_case():
     # waveform packets are capped to keep runtimes sane
     with pytest.raises(ConfigError):
         replace(default_config(1), n_symbols=300).validate()
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail instead of hanging when the body runs past `seconds`."""
+    def _expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, _expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_block_window_longer_than_packet_is_a_config_error(tmp_path, capsys):
+    # M > n_symbols leaves B-MSDD packets with no symbols, so the bit
+    # budget was never reached and the run looped forever
+    cfg = replace(default_config(3), schemes=("bmsdd",), m_list=(5,),
+                  n_symbols=3)
+    with _deadline(60):
+        with pytest.raises(ConfigError):
+            cfg.validate()
+        with pytest.raises(ConfigError):
+            harness.run_testcase3(cfg)
+        path = tmp_path / "run.cfg"
+        path.write_text("schemes = bmsdd\nm_list = 5\nn_symbols = 3\n")
+        assert cli.main(["tc3", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("patch", [
+    dict(k_info=100, n_coded=150),   # not a (3,6) degree profile
+    dict(k_info=6, n_coded=12),      # profile fits, no 4-cycle-free code
+    dict(m_list=(3,)),               # 1600 symbols do not tile into M=3
+    dict(k_info=0, n_coded=0),
+])
+def test_coded_config_without_a_code_is_a_config_error(patch):
+    with pytest.raises(ConfigError):
+        replace(default_config(4), **patch).validate()
+
+
+def test_uncoded_point_runners_refuse_empty_packets():
+    # the point runners are reached only after validate(); they still refuse a
+    # packet that adds no bits rather than loop on it
+    cfg = replace(default_config(3), n_symbols=3)
+    for runner in (harness._uncoded_point_discrete,
+                   harness._uncoded_point_waveform):
+        with _deadline(60):
+            with pytest.raises(ConfigError):
+                runner(cfg, P, 0, "bmsdd", 5, "perfect", 10.0)
 
 
 def test_config_file_parsing(tmp_path):

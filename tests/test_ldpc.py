@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uwbsim import ldpc
 
@@ -20,6 +21,11 @@ def _bpsk_llr(codeword, sigma, rng):
     x = 1.0 - 2.0 * codeword
     y = x + sigma * rng.standard_normal(codeword.size)
     return 2.0 * y / sigma ** 2
+
+
+def _dense_syndrome(code, bits):
+    """Oracle: the parity checks as a dense integer product with H."""
+    return (code.H.astype(np.int64) @ (np.asarray(bits, dtype=np.int64) & 1)) % 2
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +54,32 @@ def test_dimensions_and_rate(small, code):
 def test_info_and_parity_positions_partition_codeword(code):
     merged = np.concatenate([code.info_positions, code.parity_positions])
     assert np.array_equal(np.sort(merged), np.arange(code.n))
+
+
+def _move_edge(H, axis):
+    """Move one edge of H along a column (axis=0) or a row (axis=1).
+
+    Moving along a column keeps every column weight and unbalances two
+    rows; moving along a row does the opposite.
+    """
+    H = H.copy()
+    line = H[:, 0] if axis == 0 else H[0, :]
+    src, dst = np.nonzero(line)[0][0], np.nonzero(line == 0)[0][0]
+    if axis == 0:
+        H[src, 0], H[dst, 0] = 0, 1
+    else:
+        H[0, src], H[0, dst] = 0, 1
+    return H
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_irregular_H_is_refused_at_construction(small, axis):
+    H = _move_edge(small.H, axis)
+    assert np.ptp(H.sum(axis=axis)) == 0 and np.ptp(H.sum(axis=1 - axis)) == 2
+    with pytest.raises(ValueError, match="regular"):
+        ldpc.LdpcCode(H=H, info_positions=small.info_positions,
+                      parity_positions=small.parity_positions, B=small.B,
+                      seed=small.seed)
 
 
 def test_construction_is_seed_deterministic():
@@ -92,8 +124,56 @@ def test_single_bit_flip_breaks_col_weight_checks(code):
     assert ldpc.syndrome_weight(code, cw) == 3
 
 
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["small", "default"]),
+       kind=st.sampled_from(["uint8", "int64", "int64-wide", "near-codeword"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_syndrome_matches_dense_oracle(small, code, name, kind, seed):
+    code = small if name == "small" else code
+    rng = np.random.default_rng(seed)
+    if kind == "uint8":
+        x = rng.integers(0, 2, code.n).astype(np.uint8)
+    elif kind == "int64":
+        x = rng.integers(0, 2, code.n, dtype=np.int64)
+    elif kind == "int64-wide":
+        # only the low bit of each value is a hard decision
+        x = rng.integers(-2 ** 40, 2 ** 40, code.n, dtype=np.int64)
+    else:
+        x = ldpc.encode(code, rng.integers(0, 2, code.k))
+        x[rng.choice(code.n, size=rng.integers(0, 4), replace=False)] ^= 1
+    syn = _dense_syndrome(code, x)
+    assert ldpc.syndrome_weight(code, x) == int(syn.sum())
+    assert ldpc.check(code, x) == (not syn.any())
+
+
+def test_syndrome_rejects_wrong_length(small):
+    for n in (small.n - 1, small.n + 1):
+        with pytest.raises(ValueError):
+            ldpc.syndrome_weight(small, np.zeros(n, dtype=np.uint8))
+        with pytest.raises(ValueError):
+            ldpc.check(small, np.zeros(n, dtype=np.uint8))
+
+
 # ---------------------------------------------------------------------------
 # decoding
+
+
+@pytest.mark.parametrize("early_stop", [True, False])
+def test_decode_check_counts_match_dense_oracle(code, early_stop):
+    # from far below the waterfall (most checks fail) to inside it
+    rng = np.random.default_rng(6)
+    seen_bad = seen_good = False
+    for ebn0_db in (-2.0, 0.5, 1.0, 1.5, 2.5):
+        sigma = float(np.sqrt(1.0 / (2 * code.rate * 10 ** (ebn0_db / 10))))
+        cw = ldpc.encode(code, rng.integers(0, 2, code.k))
+        res = ldpc.decode(code, _bpsk_llr(cw, sigma, rng), max_iter=8,
+                          early_stop=early_stop)
+        n_bad = int(_dense_syndrome(code, res.hard_bits).sum())
+        assert res.n_unsatisfied == n_bad
+        assert res.checks_satisfied == (n_bad == 0)
+        seen_bad |= n_bad > 0
+        seen_good |= n_bad == 0
+    assert seen_bad and seen_good
 
 
 def test_confident_valid_codeword_is_fixed_point(code):

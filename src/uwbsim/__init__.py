@@ -21,7 +21,7 @@ from .harness import ExperimentConfig, default_config
 from .joint import run_joint
 from .ldpc import LdpcCode, construct_regular, decode, encode
 from .msdd import (bmsdd_detect, bmsdd_extrinsic, build_trellis, detect_dd,
-                   detect_mmsdd, msdd_app, msdd_extrinsic)
+                   detect_mmsdd, msdd_app)
 from .params import SystemParams
 from .txchain import InterleaverMap
 
@@ -32,6 +32,5 @@ __all__ = [
     "ExperimentConfig", "InterleaverMap", "LdpcCode", "NoiseModel",
     "SystemParams", "bmsdd_detect", "bmsdd_extrinsic", "build_trellis",
     "construct_regular", "decode", "default_config", "detect_dd",
-    "detect_mmsdd", "encode", "generate_cm2", "msdd_app", "msdd_extrinsic",
-    "run_joint",
+    "detect_mmsdd", "encode", "generate_cm2", "msdd_app", "run_joint",
 ]

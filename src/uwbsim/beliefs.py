@@ -26,12 +26,12 @@ def normalize(b: np.ndarray) -> np.ndarray:
 
 
 def from_log(logp: np.ndarray) -> np.ndarray:
-    """Normalize unnormalized log weights (n, 2) into strictly positive beliefs."""
+    """Normalize unnormalized log weights (..., 2) into strictly positive beliefs."""
     logp = np.asarray(logp, dtype=float)
-    shifted = logp - logp.max(axis=1, keepdims=True)
+    shifted = logp - logp.max(axis=-1, keepdims=True)
     shifted = np.maximum(shifted, -LLR_CLIP)
     p = np.exp(shifted)
-    return p / p.sum(axis=1, keepdims=True)
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def to_llr(b: np.ndarray) -> np.ndarray:
@@ -51,7 +51,7 @@ def from_llr(llr: np.ndarray) -> np.ndarray:
 def hard(b: np.ndarray) -> np.ndarray:
     """Symbol decisions in {+1, -1}; ties resolve to +1."""
     b = np.asarray(b)
-    return np.where(b[:, 0] >= b[:, 1], 1, -1).astype(int)
+    return np.where(b[..., 0] >= b[..., 1], 1, -1).astype(int)
 
 
 def hard_bits(b: np.ndarray) -> np.ndarray:

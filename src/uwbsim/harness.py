@@ -11,18 +11,23 @@ R = 1 for uncoded runs and R = K/N for coded runs.  On the discrete fast path
 the detection statistics depend on the SNR only, so uncoded sweeps fix
 E_g = 1; the waveform path computes the per-realization captured energy of
 the band-limited received pulse and maps SNR through it.
+
+Both BER campaigns share one stopping-rule driver.  It advances the points
+of one (scheme, M) in lockstep rounds, so one M-MSDD sweep serves a round,
+and takes from each point only packets its sequential rule is certain to
+reach, so packet counts and streams equal a point-by-point loop's.
 """
 
 import csv
 import os
 from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import groupby
 
 import numpy as np
-import scipy.fft
-from scipy import stats as _sstats
 
 from . import acr, channel as chmod, joint as jointmod, ldpc, txchain, waveform
-from .msdd import bmsdd_detect, detect_dd, detect_mmsdd
+from .msdd import BATCH_ELEMENTS, bmsdd_detect, detect_dd, detect_mmsdd
 from .params import SystemParams
 
 
@@ -323,6 +328,7 @@ def _waveform_packet(a, params: SystemParams, th, ch, N0, rng,
     the channel and the front-end filter are linear and time-invariant this
     equals transmitting the full pulse train and filtering, up to rounding.
     """
+    import scipy.fft
     d = txchain.differential_modulate(a)
     template = waveform.apply_channel(waveform.symbol_waveform(params, th),
                                       ch, params)
@@ -350,6 +356,8 @@ def run_testcase1(cfg: ExperimentConfig, out_dir=None) -> list[NoiseStats]:
     theoretical variance is a single number); TH codes, data, and noise are
     redrawn per packet.  Noise samples are Y minus the known signal part.
     """
+    from scipy import stats
+
     cfg.validate()
     params = SystemParams()
     M = int(cfg.m_list[0]) if cfg.m_list else 3
@@ -385,7 +393,7 @@ def run_testcase1(cfg: ExperimentConfig, out_dir=None) -> list[NoiseStats]:
             raise ConfigError("too few noise samples for a stable histogram; "
                               "raise n_packets or n_symbols")
         sigma_th = model.sigma_n_sq
-        ks = _sstats.kstest(noise, "norm", args=(0.0, np.sqrt(sigma_th))).statistic
+        ks = stats.kstest(noise, "norm", args=(0.0, np.sqrt(sigma_th))).statistic
         span = 5.0 * np.sqrt(sigma_th)
         counts, edges = np.histogram(noise, bins=80, range=(-span, span))
         res = NoiseStats(snr_db=snr, n_samples=int(noise.size),
@@ -467,64 +475,59 @@ def run_testcase2(cfg: ExperimentConfig, out_dir=None) -> list[MsePoint]:
 
 
 # ---------------------------------------------------------------------------
+# BER points: one stopping-rule driver for test cases 3 and 4
+
+def _ber_points(cfg, points, n_bits, cap, make_packet, detect) -> list:
+    """BER of each point under `while errors < target and bits < max_bits`.
+
+    points are (p_idx, scheme, m, eg_mode, snr); make_packet(point, pkt)
+    returns (truth, packet), and detect(packets) one decision per packet.
+    A round holds at most `cap` packets, taken in point order; each live
+    point adds its next k = min(packets left in its bit budget,
+    ceil((target_errors - errors) / n_bits)), all of which the sequential
+    rule reaches even if every bit before the last is in error.
+    """
+    errors = [0] * len(points)
+    bits = [0] * len(points)
+    sent = [0] * len(points)
+    while True:
+        batch = []
+        for j in range(len(points)):
+            k = min(-(-(cfg.max_bits - bits[j]) // n_bits),
+                    -(-(cfg.target_errors - errors[j]) // n_bits),
+                    cap - len(batch))
+            batch += [(j, sent[j] + q) for q in range(k)]
+            sent[j] += max(k, 0)
+        if not batch:
+            break
+        made = [make_packet(points[j], pkt) for j, pkt in batch]
+        decided = detect([packet for _, packet in made])
+        for (j, _), (truth, _), hat in zip(batch, made, decided):
+            errors[j] += int(np.sum(hat != truth))
+            bits[j] += n_bits
+    return [BerPoint(scheme, m, eg, snr, b, e, e / b, _ber_ci(e, b))
+            for (_, scheme, m, eg, snr), b, e in zip(points, bits, errors)]
+
+
+# ---------------------------------------------------------------------------
 # test case 3: uncoded BER sweeps
 
-def _detect_uncoded(scheme, samples, m, model_det, variance_factor):
-    if scheme == "dd":
-        return detect_dd(samples)
-    if scheme == "bmsdd":
-        return bmsdd_detect(samples)
-    return detect_mmsdd(samples, m, model_det.amplitude, model_det.sigma_n_sq,
-                        variance_factor)
-
-
-def _uncoded_len(cfg, scheme, m) -> int:
-    """Symbols per packet; a packet of none would never end the point."""
-    n_use = cfg.n_symbols if scheme != "bmsdd" else m * (cfg.n_symbols // m)
-    if n_use <= 0:
-        raise ConfigError(f"{scheme} M={m} packets carry no bits")
-    return n_use
-
-
-def _uncoded_point_discrete(cfg, params, p_idx, scheme, m, eg_mode, snr):
-    E_g = 1.0
-    N0 = n0_for_snr(snr, E_g, 1.0, params)
-    model = acr.NoiseModel(params.N_f, E_g, N0, params.W, params.T_g)
-    n_use = _uncoded_len(cfg, scheme, m)
-    errors = 0
-    bits = 0
-    pkt = 0
-    while errors < cfg.target_errors and bits < cfg.max_bits:
-        rng = _packet_rng(cfg.seed, cfg.test_case, p_idx, scheme, m, eg_mode, pkt)
+def _uncoded_packet(cfg, params, n_use, point, pkt):
+    """(symbols, (samples, detector model)) of one uncoded packet."""
+    p_idx, scheme, m, eg_mode, snr = point
+    rng = _packet_rng(cfg.seed, cfg.test_case, p_idx, scheme, m, eg_mode, pkt)
+    if cfg.path == "discrete":
+        N0 = n0_for_snr(snr, 1.0, 1.0, params)
+        model = acr.NoiseModel(params.N_f, 1.0, N0, params.W, params.T_g)
         a = _random_symbols(rng, n_use)
         if scheme == "bmsdd":
             samples = acr.generate_discrete_blocks(a, m, model, rng)
         else:
             samples = acr.generate_discrete(a, m if scheme == "mmsdd" else 1,
                                             model, rng)
-        model_det = model
-        if scheme == "mmsdd" and eg_mode == "estimated":
-            eh = acr.estimate_Eg(samples, params.N_f)
-            model_det = acr.NoiseModel(params.N_f, eh, N0, params.W, params.T_g)
-        a_hat = _detect_uncoded(scheme, samples, m, model_det,
-                                cfg.variance_factor)
-        errors += int(np.sum(a_hat != a))
-        bits += n_use
-        pkt += 1
-    ber = errors / bits
-    return BerPoint(scheme, m, eg_mode, snr, bits, errors, ber,
-                    _ber_ci(errors, bits))
-
-
-def _uncoded_point_waveform(cfg, params, p_idx, scheme, m, eg_mode, snr):
-    ideal = _ideal_channel(params) if cfg.channel_mode == "ideal" else None
-    n_use = _uncoded_len(cfg, scheme, m)
-    errors = 0
-    bits = 0
-    pkt = 0
-    while errors < cfg.target_errors and bits < cfg.max_bits:
-        rng = _packet_rng(cfg.seed, cfg.test_case, p_idx, scheme, m, eg_mode, pkt)
-        ch = ideal if ideal is not None else chmod.generate_cm2(params, rng)
+    else:
+        ch = (_ideal_channel(params) if cfg.channel_mode == "ideal"
+              else chmod.generate_cm2(params, rng))
         E_g = chmod.effective_captured_energy(ch, params)
         N0 = n0_for_snr(snr, E_g, 1.0, params)
         model = acr.NoiseModel(params.N_f, E_g, N0, params.W, params.T_g)
@@ -533,18 +536,33 @@ def _uncoded_point_waveform(cfg, params, p_idx, scheme, m, eg_mode, snr):
         samples = _waveform_packet(a, params, th, ch, N0, rng,
                                    m if scheme != "dd" else 1,
                                    block=(scheme == "bmsdd"))
-        model_det = model
-        if scheme == "mmsdd" and eg_mode == "estimated":
-            eh = acr.estimate_Eg(samples, params.N_f)
-            model_det = acr.NoiseModel(params.N_f, eh, N0, params.W, params.T_g)
-        a_hat = _detect_uncoded(scheme, samples, m, model_det,
-                                cfg.variance_factor)
-        errors += int(np.sum(a_hat != a))
-        bits += n_use
-        pkt += 1
-    ber = errors / bits
-    return BerPoint(scheme, m, eg_mode, snr, bits, errors, ber,
-                    _ber_ci(errors, bits))
+    if scheme == "mmsdd" and eg_mode == "estimated":
+        eh = acr.estimate_Eg(samples, params.N_f)
+        model = acr.NoiseModel(params.N_f, eh, N0, params.W, params.T_g)
+    return a, (samples, model)
+
+
+def _detect_uncoded(scheme, m, variance_factor, packets):
+    if scheme == "mmsdd":
+        return detect_mmsdd([s for s, _ in packets], m,
+                            [d.amplitude for _, d in packets],
+                            [d.sigma_n_sq for _, d in packets], variance_factor)
+    detect = detect_dd if scheme == "dd" else bmsdd_detect
+    return [detect(s) for s, _ in packets]
+
+
+def _uncoded_points(cfg, params, scheme, m, eg_modes) -> dict:
+    """BerPoints of one (scheme, M) over the SNR grid and `eg_modes`, keyed
+    by point; a round's M-MSDD packets share one sweep."""
+    n_use = cfg.n_symbols if scheme != "bmsdd" else m * (cfg.n_symbols // m)
+    if n_use <= 0:  # a packet of no bits would never end the point
+        raise ConfigError(f"{scheme} M={m} packets carry no bits")
+    keys = [(p_idx, scheme, m, eg, snr)
+            for p_idx, snr in enumerate(cfg.snr_db) for eg in eg_modes]
+    return dict(zip(keys, _ber_points(
+        cfg, keys, n_use, max(1, BATCH_ELEMENTS // (n_use << m)),
+        partial(_uncoded_packet, cfg, params, n_use),
+        partial(_detect_uncoded, scheme, m, cfg.variance_factor))))
 
 
 def _tc3_combos(cfg) -> list:
@@ -563,12 +581,14 @@ def run_testcase3(cfg: ExperimentConfig, out_dir=None) -> list[BerPoint]:
     """Uncoded BER of DD, hard block detection, and sliding-window MSDD."""
     cfg.validate()
     params = SystemParams()
-    runner = (_uncoded_point_discrete if cfg.path == "discrete"
-              else _uncoded_point_waveform)
-    points = []
-    for p_idx, snr in enumerate(cfg.snr_db):
-        for scheme, m, eg in _tc3_combos(cfg):
-            points.append(runner(cfg, params, p_idx, scheme, m, eg, snr))
+    combos = _tc3_combos(cfg)
+    by_point = {}
+    for (scheme, m), group in groupby(combos, key=lambda c: c[:2]):
+        egs = [eg for _, _, eg in group]
+        by_point.update(_uncoded_points(cfg, params, scheme, m, egs))
+    points = [by_point[p_idx, scheme, m, eg, snr]
+              for p_idx, snr in enumerate(cfg.snr_db)
+              for scheme, m, eg in combos]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         _write_csv(os.path.join(out_dir, "tc3_ber.csv"), _BER_HEADER,
@@ -579,8 +599,13 @@ def run_testcase3(cfg: ExperimentConfig, out_dir=None) -> list[BerPoint]:
 # ---------------------------------------------------------------------------
 # test case 4: joint detection and decoding
 
-def _coded_packet(cfg, params, code, rng, scheme, m, eg_mode, model,
-                  early_exit=True, want_trace=False):
+def _coded_packet(cfg, params, code, point, pkt, early_exit=True,
+                  want_trace=False):
+    """(info bits, JointResult) of one packet through the joint receiver."""
+    p_idx, scheme, m, eg_mode, snr = point
+    rng = _packet_rng(cfg.seed, cfg.test_case, p_idx, scheme, m, eg_mode, pkt)
+    N0 = n0_for_snr(snr, 1.0, code.rate, params)
+    model = acr.NoiseModel(params.N_f, 1.0, N0, params.W, params.T_g)
     kind = "mmsdd" if scheme == "joint-mmsdd" else "bmsdd"
     info = rng.integers(0, 2, code.k).astype(np.uint8)
     cw = ldpc.encode(code, info)
@@ -590,11 +615,10 @@ def _coded_packet(cfg, params, code, rng, scheme, m, eg_mode, model,
         samples = acr.generate_discrete(a, m, model, rng)
     else:
         samples = acr.generate_discrete_blocks(a, m, model, rng)
-    model_det = model
     if eg_mode == "estimated":
         eh = acr.estimate_Eg(samples, params.N_f)
-        model_det = acr.NoiseModel(params.N_f, eh, model.N0, params.W, params.T_g)
-    res = jointmod.run_joint(samples, kind, code, imap, model_det,
+        model = acr.NoiseModel(params.N_f, eh, N0, params.W, params.T_g)
+    res = jointmod.run_joint(samples, kind, code, imap, model,
                              outer_iters=cfg.outer_iters,
                              inner_iters=cfg.inner_iters,
                              variance_factor=cfg.variance_factor,
@@ -603,38 +627,15 @@ def _coded_packet(cfg, params, code, rng, scheme, m, eg_mode, model,
     return info, res
 
 
-def _coded_point(cfg, params, code, p_idx, scheme, m, eg_mode, snr):
-    E_g = 1.0
-    N0 = n0_for_snr(snr, E_g, code.rate, params)
-    model = acr.NoiseModel(params.N_f, E_g, N0, params.W, params.T_g)
-    errors = 0
-    bits = 0
-    pkt = 0
-    while errors < cfg.target_errors and bits < cfg.max_bits:
-        rng = _packet_rng(cfg.seed, cfg.test_case, p_idx, scheme, m, eg_mode, pkt)
-        info, res = _coded_packet(cfg, params, code, rng, scheme, m, eg_mode,
-                                  model)
-        errors += int(np.sum(res.info_bits != info))
-        bits += code.k
-        pkt += 1
-    ber = errors / bits
-    return BerPoint(scheme, m, eg_mode, snr, bits, errors, ber,
-                    _ber_ci(errors, bits))
-
-
 def _trace_point(cfg, params, code, t_idx, scheme, m, eg_mode, snr):
-    E_g = 1.0
-    N0 = n0_for_snr(snr, E_g, code.rate, params)
-    model = acr.NoiseModel(params.N_f, E_g, N0, params.W, params.T_g)
     acc_det = np.zeros(cfg.outer_iters)
     acc_dec = np.zeros(cfg.outer_iters)
     acc_chk = np.zeros(cfg.outer_iters)
     n_checks = code.H.shape[0]
+    point = (_TRACE_POINT_BASE + t_idx, scheme, m, eg_mode, snr)
     for pkt in range(cfg.trace_packets):
-        rng = _packet_rng(cfg.seed, cfg.test_case, _TRACE_POINT_BASE + t_idx,
-                          scheme, m, eg_mode, pkt)
-        _, res = _coded_packet(cfg, params, code, rng, scheme, m, eg_mode,
-                               model, early_exit=False, want_trace=True)
+        _, res = _coded_packet(cfg, params, code, point, pkt,
+                               early_exit=False, want_trace=True)
         for rec in res.trace:
             acc_det[rec.iteration - 1] += rec.p_c_msdd
             acc_dec[rec.iteration - 1] += rec.p_c_dec
@@ -657,13 +658,13 @@ def run_testcase4(cfg: ExperimentConfig, out_dir=None):
     cfg.validate()
     params = SystemParams()
     code = ldpc.default_code(cfg.k_info, cfg.n_coded, cfg.code_seed)
-    points = []
-    for p_idx, snr in enumerate(cfg.snr_db):
-        for scheme in cfg.schemes:
-            for m in cfg.m_list:
-                for eg in cfg.eg_modes:
-                    points.append(_coded_point(cfg, params, code, p_idx,
-                                               scheme, int(m), eg, snr))
+    keys = [(p_idx, scheme, int(m), eg, snr)
+            for p_idx, snr in enumerate(cfg.snr_db) for scheme in cfg.schemes
+            for m in cfg.m_list for eg in cfg.eg_modes]
+    # the joint receiver decodes as it makes each packet: one per round
+    points = _ber_points(cfg, keys, code.k, 1,
+                         partial(_coded_packet, cfg, params, code),
+                         lambda done: [res.info_bits for res in done])
     traces = []
     t_idx = 0
     for snr in cfg.trace_snr_db:

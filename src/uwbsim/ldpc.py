@@ -47,6 +47,8 @@ class LdpcCode:
         self._edges["c2v_scatter"] = pos_in_var[by_check]
         self._edges["row_w"] = int(row_w[0])
         self._edges["col_w"] = int(col_w[0])
+        # B's rows as bytes, so encode's parity is a popcount per row
+        self._edges["B_packed"] = np.packbits(self.B, axis=1)
 
     @property
     def n(self) -> int:
@@ -166,7 +168,8 @@ def encode(code: LdpcCode, info_bits: np.ndarray) -> np.ndarray:
     info = np.asarray(info_bits, dtype=np.int64) & 1
     if info.shape != (code.k,):
         raise ValueError(f"expected {code.k} info bits")
-    parity = (code.B.astype(np.int64) @ info) % 2
+    both = code._edges["B_packed"] & np.packbits(info)
+    parity = np.bitwise_count(both).sum(axis=1) & 1
     c = np.zeros(code.n, dtype=np.uint8)
     c[code.info_positions] = info
     c[code.parity_positions] = parity

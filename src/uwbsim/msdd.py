@@ -2,10 +2,10 @@
 
 The data symbols form a Markov chain in the sliding state
 S_i = (a_i, ..., a_{i-M+1}); sample Y_{i,m} observes the product of the m
-newest entries of S_i times the signal amplitude.  Detection runs a
-forward/backward sweep over the 2^M states in the log domain.  The merge
-output gamma deliberately excludes the symbol's own prior, so it is the
-extrinsic message an outer decoder can consume; APP = prior * gamma.
+newest entries of S_i times the signal amplitude.  Detection runs one
+log-domain forward/backward sweep over the 2^M states for a stack of packets.
+The merge output gamma deliberately excludes the symbol's own prior, so it is
+the extrinsic message an outer decoder can consume; APP = prior * gamma.
 
 The block detector treats U = N/M blocks independently, enumerating the 2^M
 hypotheses of a block explicitly; its soft output lambda likewise excludes the
@@ -78,18 +78,6 @@ def build_trellis(M: int) -> TrellisSpec:
     return _trellis_cache[M]
 
 
-def evidence(y_row: np.ndarray, pad_row: np.ndarray, state: int,
-             trellis: TrellisSpec, amplitude: float, sigma_sq: float,
-             variance_factor: int = 1) -> float:
-    """Likelihood factor p(Y_i | state) in (0, 1]; padded samples contribute 1."""
-    if sigma_sq <= 0:
-        raise ValueError("sigma_sq must be positive")
-    y = np.asarray(y_row, dtype=float)
-    keep = ~np.asarray(pad_row, dtype=bool)
-    resid = y[keep] - amplitude * trellis.signs[state, :len(y)][keep]
-    return float(np.exp(-np.sum(resid ** 2) / (variance_factor * sigma_sq)))
-
-
 def log_evidence_matrix(samples: CorrSamples, trellis: TrellisSpec,
                         amplitude: float, sigma_sq: float,
                         variance_factor: int = 1) -> np.ndarray:
@@ -119,125 +107,119 @@ def _log_priors(priors, n: int) -> np.ndarray:
     return np.log(np.maximum(priors, _TINY))
 
 
-def _forward_log(logE: np.ndarray, logp: np.ndarray, stats=None) -> np.ndarray:
-    """Max-normalized log alpha, rows 0..N; row 0 is the all-+1 point mass."""
-    N, S = logE.shape
+# stacked sweep arrays hold at most this many (step, sequence, state)
+# elements, about 4 MB each; callers size their batches by it
+BATCH_ELEMENTS = 1 << 19
+
+
+def _sweep(logE: np.ndarray, logp: np.ndarray):
+    """Forward/backward sweep over B independent sequences at once.
+
+    logE is (N, B, 2^M) log evidence and logp (N, B, 2) log priors, time
+    major.  Returns max-normalized log alpha, (N+1, B, 2^M), whose row 0 is
+    the all-+1 point mass, and log beta, (N+1, B, 2^(M-1)), whose row N is
+    uniform.  State s is reached from s >> 1 and s >> 1 + 2^(M-1) by
+    shifting in bit s & 1, so both recursions run on contiguous halves and
+    even/odd slices of a row.  beta(S_i) depends only on the M-1 newest
+    symbols, the ones later samples still see, so state s reads column
+    s mod 2^(M-1).
+    """
+    N, B, S = logE.shape
     half = S >> 1
-    prev0 = np.arange(S) >> 1
-    prev1 = prev0 + half
-    in_bit = np.arange(S) & 1
-    la = np.empty((N + 1, S))
+    la = np.empty((N + 1, B, S))
+    lb = np.empty((N + 1, B, half))
     la[0] = -np.inf
-    la[0, 0] = 0.0
-    for i in range(1, N + 1):
-        prev = la[i - 1]
-        v = np.logaddexp(prev[prev0], prev[prev1]) + logp[i - 1, in_bit] + logE[i - 1]
-        la[i] = v - v.max()
-        if stats is not None:
-            stats["transition_visits"] = stats.get("transition_visits", 0) + 2 * S
-    return la
-
-
-def _backward_log(logE: np.ndarray, logp: np.ndarray, stats=None) -> np.ndarray:
-    """Max-normalized log beta, rows 0..N; row N is uniform (all zeros)."""
-    N, S = logE.shape
-    to0 = (np.arange(S) << 1) & (S - 1)
-    to1 = to0 | 1
-    lb = np.empty((N + 1, S))
+    la[0, :, 0] = 0.0
     lb[N] = 0.0
-    for i in range(N, 0, -1):
-        nxt = lb[i] + logE[i - 1]
-        v = np.logaddexp(nxt[to0] + logp[i - 1, 0], nxt[to1] + logp[i - 1, 1])
-        lb[i - 1] = v - v.max()
-        if stats is not None:
-            stats["transition_visits"] = stats.get("transition_visits", 0) + 2 * S
-    return lb
+    mx = np.empty((B, 1))
+    mx0 = mx[:, 0]
+    t = np.empty((B, half))
+    t3 = t[:, :, None]
+    for lo, hi, cur, cur3, e, lp in zip(
+            la[:-1, :, :half], la[:-1, :, half:], la[1:],
+            la[1:].reshape(N, B, half, 2), logE, logp[:, :, None, :]):
+        np.logaddexp(lo, hi, out=t)
+        np.add(t3, lp, out=cur3)
+        np.add(cur, e, out=cur)
+        np.maximum.reduce(cur, axis=1, out=mx0)
+        np.subtract(cur, mx, out=cur)
+    nxt = np.empty((B, 2, half))
+    even, odd = nxt.reshape(B, S)[:, 0::2], nxt.reshape(B, S)[:, 1::2]
+    u = np.empty((B, half))
+    for nb, cur, e, lp0, lp1 in zip(
+            lb[:0:-1, :, None, :], lb[-2::-1],
+            logE.reshape(N, B, 2, half)[::-1], logp[::-1, :, :1],
+            logp[::-1, :, 1:]):
+        np.add(nb, e, out=nxt)
+        np.add(even, lp0, out=u)
+        np.add(odd, lp1, out=t)
+        np.logaddexp(u, t, out=cur)
+        np.maximum.reduce(cur, axis=1, out=mx0)
+        np.subtract(cur, mx, out=cur)
+    return la, lb
 
 
 def _row_logsumexp(x: np.ndarray) -> np.ndarray:
-    m = x.max(axis=1)
+    """log-sum-exp over the last axis; overwrites x."""
+    m = x.max(axis=-1)
     with np.errstate(invalid="ignore"):
-        out = m + np.log(np.sum(np.exp(x - m[:, None]), axis=1))
+        np.subtract(x, m[..., None], out=x)
+        out = m + np.log(np.sum(np.exp(x, out=x), axis=-1))
     return np.where(np.isfinite(m), out, -np.inf)
 
 
 def _merge_log(la: np.ndarray, lb: np.ndarray, logE: np.ndarray) -> np.ndarray:
-    """Unnormalized log gamma (N, 2): prior of a_i intentionally left out."""
-    N, S = logE.shape
-    to0 = (np.arange(S) << 1) & (S - 1)
-    to1 = to0 | 1
-    post = lb[1:] + logE      # indexed by destination state, rows i = 1..N
-    prev = la[:-1]            # rows i-1 = 0..N-1
-    lg = np.empty((N, 2))
-    lg[:, 0] = _row_logsumexp(prev + post[:, to0])
-    lg[:, 1] = _row_logsumexp(prev + post[:, to1])
-    return lg
+    """Unnormalized log gamma (N, B, 2): prior of a_i intentionally left out.
 
-
-def forward_pass(samples: CorrSamples, priors, trellis: TrellisSpec,
-                 amplitude: float, sigma_sq: float, variance_factor: int = 1,
-                 stats=None) -> np.ndarray:
-    """Normalized state distributions alpha(S_0)..alpha(S_N), shape (N+1, 2^M)."""
-    logE = log_evidence_matrix(samples, trellis, amplitude, sigma_sq, variance_factor)
-    logp = _log_priors(priors, samples.n_symbols)
-    la = _forward_log(logE, logp, stats)
-    p = np.exp(la)
-    return p / p.sum(axis=1, keepdims=True)
-
-
-def backward_pass(samples: CorrSamples, priors, trellis: TrellisSpec,
-                  amplitude: float, sigma_sq: float, variance_factor: int = 1,
-                  stats=None) -> np.ndarray:
-    """Normalized state distributions beta(S_0)..beta(S_N); beta(S_N) uniform."""
-    logE = log_evidence_matrix(samples, trellis, amplitude, sigma_sq, variance_factor)
-    logp = _log_priors(priors, samples.n_symbols)
-    lb = _backward_log(logE, logp, stats)
-    p = np.exp(lb)
-    return p / p.sum(axis=1, keepdims=True)
-
-
-def merge(alpha: np.ndarray, beta: np.ndarray, samples: CorrSamples, priors,
-          trellis: TrellisSpec, amplitude: float, sigma_sq: float,
-          variance_factor: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Combine passes into (app, gamma); alpha/beta as returned by the passes."""
-    logE = log_evidence_matrix(samples, trellis, amplitude, sigma_sq, variance_factor)
-    logp = _log_priors(priors, samples.n_symbols)
-    with np.errstate(divide="ignore"):
-        lg = _merge_log(np.log(alpha), np.log(beta), logE)
-    gamma = beliefs.from_log(lg)
-    app = beliefs.from_log(lg + logp)
-    return app, gamma
+    Shifting bit b into state s lands on 2*(s mod 2^(M-1)) + b, so the
+    destination term for every source state is a broadcast of the even
+    (b = 0) or odd (b = 1) half of the destination row.
+    """
+    N, B, S = logE.shape
+    # indexed by destination state, rows i = 1..N
+    post = (lb[1:, :, None, :] + logE.reshape(N, B, 2, S >> 1)).reshape(N, B, S)
+    prev = la[:-1].reshape(N, B, 2, S >> 1)   # source states, rows i-1
+    return np.stack([_row_logsumexp((prev + post[:, :, None, b::2])
+                                    .reshape(N, B, S)) for b in (0, 1)],
+                    axis=-1)
 
 
 def msdd_app(samples: CorrSamples, M: int, amplitude: float, sigma_sq: float,
-             priors=None, variance_factor: int = 1, stats=None
+             priors=None, variance_factor: int = 1
              ) -> tuple[np.ndarray, np.ndarray]:
     """Full sliding-window detection pipeline; returns (app, gamma)."""
     trellis = build_trellis(M)
     if samples.window != M:
         raise ValueError("sample window does not match M")
-    logE = log_evidence_matrix(samples, trellis, amplitude, sigma_sq, variance_factor)
-    logp = _log_priors(priors, samples.n_symbols)
-    la = _forward_log(logE, logp, stats)
-    lb = _backward_log(logE, logp, stats)
-    lg = _merge_log(la, lb, logE)
-    gamma = beliefs.from_log(lg)
-    app = beliefs.from_log(lg + logp)
+    logE = log_evidence_matrix(samples, trellis, amplitude, sigma_sq,
+                               variance_factor)[:, None, :]
+    logp = _log_priors(priors, samples.n_symbols)[:, None, :]
+    lg = _merge_log(*_sweep(logE, logp), logE)
+    gamma = beliefs.from_log(lg[:, 0])
+    app = beliefs.from_log((lg + logp)[:, 0])
     return app, gamma
 
 
-def msdd_extrinsic(samples: CorrSamples, M: int, amplitude: float,
-                   sigma_sq: float, priors=None, variance_factor: int = 1
-                   ) -> np.ndarray:
-    """Extrinsic gamma only (what the joint schedule consumes)."""
-    return msdd_app(samples, M, amplitude, sigma_sq, priors, variance_factor)[1]
+def detect_mmsdd(samples, M: int, amplitude, sigma_sq,
+                 variance_factor: int = 1) -> np.ndarray:
+    """Hard sliding-window decisions under uniform priors, (B, N).
 
-
-def detect_mmsdd(samples: CorrSamples, M: int, amplitude: float,
-                 sigma_sq: float, variance_factor: int = 1) -> np.ndarray:
-    """Hard sliding-window decisions under uniform priors."""
-    app, _ = msdd_app(samples, M, amplitude, sigma_sq, None, variance_factor)
-    return beliefs.hard(app)
+    samples is a sequence of B equal-length CorrSamples; amplitude and
+    sigma_sq give each packet's detector statistics (scalars broadcast).
+    One sweep serves the whole stack, so callers keep B * N * 2^M within
+    BATCH_ELEMENTS.
+    """
+    trellis = build_trellis(M)
+    if any(s.window != M for s in samples):
+        raise ValueError("sample window does not match M")
+    B = len(samples)
+    amplitude = np.broadcast_to(amplitude, B)
+    sigma_sq = np.broadcast_to(sigma_sq, B)
+    logE = np.stack([log_evidence_matrix(s, trellis, a, v, variance_factor)
+                     for s, a, v in zip(samples, amplitude, sigma_sq)], axis=1)
+    logp = np.full(logE.shape[:2] + (2,), np.log(0.5))
+    lg = _merge_log(*_sweep(logE, logp), logE)
+    return beliefs.hard(beliefs.from_log(lg + logp)).T
 
 
 def detect_dd(samples: CorrSamples) -> np.ndarray:

@@ -25,6 +25,20 @@ def _log_prior_table(priors, n):
     return np.log(np.maximum(np.asarray(priors, dtype=float), _TINY))
 
 
+def evidence(y_row, pad_row, state: int, amplitude: float, sigma_sq: float,
+             variance_factor: int = 1) -> float:
+    """Likelihood factor p(Y_i | S_i = state) in (0, 1]; bit k of state set
+    means a_{i-k} = -1, and padded samples contribute 1."""
+    lw = 0.0
+    prod = 1
+    for m in range(1, len(y_row) + 1):
+        prod *= -1 if (state >> (m - 1)) & 1 else 1
+        if not pad_row[m - 1]:
+            r = y_row[m - 1] - amplitude * prod
+            lw -= r * r / (variance_factor * sigma_sq)
+    return float(np.exp(lw))
+
+
 def _sequence_logweight(a, samples, M, amplitude, sigma_sq, logp, variance_factor):
     """Joint log weight of one full symbol sequence, straight from the model."""
     lw = 0.0

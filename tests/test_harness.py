@@ -2,13 +2,16 @@
 
 import os
 import signal
+import subprocess
+import sys
 from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from uwbsim import cli, harness
+import uwbsim
+from uwbsim import beliefs, cli, harness, msdd
 from uwbsim.harness import (BerPoint, ConfigError, apply_overrides,
                             default_config, interpolate_required_snr,
                             load_config_file, n0_for_snr, resolve_out_dir)
@@ -110,14 +113,13 @@ def test_coded_config_without_a_code_is_a_config_error(patch):
 
 
 def test_uncoded_point_runners_refuse_empty_packets():
-    # the point runners are reached only after validate(); they still refuse a
-    # packet that adds no bits rather than loop on it
-    cfg = replace(default_config(3), n_symbols=3)
-    for runner in (harness._uncoded_point_discrete,
-                   harness._uncoded_point_waveform):
+    # the point runner is reached only after validate(); it still refuses a
+    # packet that adds no bits rather than loop on it, on either path
+    for path in ("discrete", "waveform"):
+        cfg = replace(default_config(3), n_symbols=3, path=path)
         with _deadline(60):
             with pytest.raises(ConfigError):
-                runner(cfg, P, 0, "bmsdd", 5, "perfect", 10.0)
+                harness._uncoded_points(cfg, P, "bmsdd", 5, ["perfect"])
 
 
 def test_config_file_parsing(tmp_path):
@@ -319,6 +321,81 @@ def test_ber_csv_reruns_byte_identical(tmp_path):
     assert b1 == (d2 / "tc3_ber.csv").read_bytes()
     header = b1.decode().splitlines()[0]
     assert header == ",".join(harness._BER_HEADER)
+
+
+def _sequential_tc3(cfg):
+    """Reference: each point in turn, one packet and one detector call at a
+    time, under the plain while-loop stopping rule.  Returns the points and
+    the number of packets made."""
+    params = SystemParams()
+    points, made = [], 0
+    for p_idx, snr in enumerate(cfg.snr_db):
+        for scheme, m, eg in harness._tc3_combos(cfg):
+            n_use = (m * (cfg.n_symbols // m) if scheme == "bmsdd"
+                     else cfg.n_symbols)
+            errors = bits = 0
+            while errors < cfg.target_errors and bits < cfg.max_bits:
+                a, (samples, model) = harness._uncoded_packet(
+                    cfg, params, n_use, (p_idx, scheme, m, eg, snr),
+                    bits // n_use)
+                if scheme == "dd":
+                    a_hat = msdd.detect_dd(samples)
+                elif scheme == "bmsdd":
+                    a_hat = msdd.bmsdd_detect(samples)
+                else:
+                    app, _ = msdd.msdd_app(samples, m, model.amplitude,
+                                           model.sigma_n_sq)
+                    a_hat = beliefs.hard(app)
+                errors += int(np.sum(a_hat != a))
+                bits += n_use
+                made += 1
+            points.append(BerPoint(scheme, m, eg, snr, bits, errors,
+                                   errors / bits, harness._ber_ci(errors, bits)))
+    return points, made
+
+
+@pytest.mark.parametrize("path, budget", [
+    ("discrete", None), ("discrete", 1), ("discrete", 600),
+    ("waveform", None), ("waveform", 100)])
+def test_lockstep_driver_matches_sequential_loop(monkeypatch, path, budget):
+    # points stop on the error target after different numbers of packets,
+    # or on the bit budget; a small element budget splits the rounds
+    if path == "discrete":
+        cfg = replace(default_config(3), snr_db=(2.0, 6.0, 9.0),
+                      m_list=(2, 3), n_symbols=30, target_errors=12,
+                      max_bits=600, schemes=("dd", "bmsdd", "mmsdd"),
+                      eg_modes=("perfect", "estimated"))
+    else:
+        cfg = replace(default_config(3), path="waveform", channel_mode="cm2",
+                      snr_db=(4.0, 8.0, 12.0), m_list=(2,), n_symbols=10,
+                      target_errors=4, max_bits=60, schemes=("dd", "mmsdd"),
+                      eg_modes=("perfect", "estimated"))
+    want, want_made = _sequential_tc3(cfg)
+    if budget is not None:
+        monkeypatch.setattr(harness, "BATCH_ELEMENTS", budget)
+    made = []
+    packet = harness._uncoded_packet
+
+    def counted(*args):
+        made.append(args[-2:])
+        return packet(*args)
+    monkeypatch.setattr(harness, "_uncoded_packet", counted)
+    got = harness.run_testcase3(cfg)
+    assert got == want
+    assert len(made) == want_made == len(set(made))
+    stops = {p.bits_simulated for p in got if p.bits_simulated < cfg.max_bits}
+    assert len(stops) >= 2
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported by the waveform path and test case 1 when they run
+    src = os.path.dirname(os.path.dirname(uwbsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, uwbsim; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_waveform_and_discrete_paths_agree():

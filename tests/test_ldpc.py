@@ -118,6 +118,33 @@ def test_extract_info_round_trip(code):
     assert np.array_equal(ldpc.extract_info(code, ldpc.encode(code, info)), info)
 
 
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["small", "odd", "default"]),
+       kind=st.sampled_from(["uint8", "bool", "int64-wide", "sparse"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_encode_matches_dense_oracle(small, code, name, kind, seed):
+    # "odd" has k = 30, so the packed info row ends in padding bits
+    code = {"small": small, "default": code,
+            "odd": ldpc.construct_regular(k=30, n=60, seed=3)}[name]
+    rng = np.random.default_rng(seed)
+    if kind == "uint8":
+        info = rng.integers(0, 2, code.k).astype(np.uint8)
+    elif kind == "bool":
+        info = rng.random(code.k) < 0.5
+    elif kind == "int64-wide":
+        # only the low bit of each value is an info bit
+        info = rng.integers(-2 ** 40, 2 ** 40, code.k, dtype=np.int64)
+    else:
+        info = np.zeros(code.k, dtype=np.uint8)
+        info[rng.choice(code.k, size=rng.integers(1, 4), replace=False)] = 1
+    bits = np.asarray(info, dtype=np.int64) & 1
+    cw = ldpc.encode(code, info)
+    assert cw.dtype == np.uint8
+    assert np.array_equal(cw[code.info_positions], bits)
+    assert np.array_equal(cw[code.parity_positions],
+                          (code.B.astype(np.int64) @ bits) % 2)
+
+
 def test_single_bit_flip_breaks_col_weight_checks(code):
     cw = ldpc.encode(code, np.zeros(code.k, dtype=np.uint8))
     cw[137] ^= 1

@@ -1,7 +1,8 @@
-"""Trellis detectors: structure, evidence, passes, oracles, block variant."""
+"""Trellis detectors: structure, evidence, sweep, oracles, block variant."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uwbsim import acr, beliefs, msdd, reference
 from uwbsim.params import SystemParams
@@ -61,33 +62,34 @@ def test_trellis_signs_are_newest_run_products():
 # evidence
 
 
+def _log_evidence(rows, pads, m, A, s2):
+    samples = acr.CorrSamples(np.array(rows, dtype=float), np.array(pads))
+    return msdd.log_evidence_matrix(samples, msdd.build_trellis(m), A, s2)
+
+
 def test_evidence_peaks_at_matching_state():
     tr = msdd.build_trellis(2)
     A, s2 = 7.0, 3.0
+    logE = _log_evidence(A * tr.signs, np.zeros((4, 2), dtype=bool), 2, A, s2)
     for state in range(4):
-        y = A * tr.signs[state]
-        pads = np.array([False, False])
-        vals = [msdd.evidence(y, pads, s, tr, A, s2) for s in range(4)]
-        assert vals[state] == pytest.approx(1.0)
-        assert np.argmax(vals) == state
+        assert np.exp(logE[state, state]) == pytest.approx(1.0)
+        assert np.argmax(logE[state]) == state
 
 
 def test_evidence_sign_flip_ratio():
     # flipping one matched sample of magnitude A multiplies the factor by
     # exp(-4 A^2 / sigma^2)
-    tr = msdd.build_trellis(1)
     A, s2 = 2.0, 5.0
-    good = msdd.evidence(np.array([A]), np.array([False]), 0, tr, A, s2)
-    bad = msdd.evidence(np.array([-A]), np.array([False]), 0, tr, A, s2)
-    assert bad / good == pytest.approx(np.exp(-4 * A ** 2 / s2), rel=1e-12)
+    logE = _log_evidence([[A], [-A]], [[False], [False]], 1, A, s2)
+    assert np.exp(logE[1, 0] - logE[0, 0]) == pytest.approx(
+        np.exp(-4 * A ** 2 / s2), rel=1e-12)
 
 
 def test_evidence_ignores_padded_entries():
-    tr = msdd.build_trellis(2)
-    y = np.array([1.3, 999.0])
-    with_pad = msdd.evidence(y, np.array([False, True]), 0, tr, 1.0, 2.0)
-    alone = msdd.evidence(y[:1], np.array([False]), 0, tr, 1.0, 2.0)
-    assert with_pad == pytest.approx(alone, rel=1e-12)
+    # a padded lag-2 sample leaves only the newest symbol observed
+    with_pad = _log_evidence([[1.3, 0.0]], [[False, True]], 2, 1.0, 2.0)
+    alone = _log_evidence([[1.3]], [[False]], 1, 1.0, 2.0)
+    assert np.allclose(with_pad[0], alone[0, np.arange(4) & 1], rtol=1e-12)
 
 
 def test_log_evidence_matrix_matches_scalar_evidence():
@@ -97,26 +99,35 @@ def test_log_evidence_matrix_matches_scalar_evidence():
                                     model.sigma_n_sq)
     for i in range(6):
         for s in range(tr.n_states):
-            want = msdd.evidence(samples.values[i], samples.pad_mask[i], s,
-                                 tr, model.amplitude, model.sigma_n_sq)
+            want = reference.evidence(samples.values[i], samples.pad_mask[i],
+                                      s, model.amplitude, model.sigma_n_sq)
             assert np.exp(logE[i, s]) == pytest.approx(want, rel=1e-9)
 
 
 def test_evidence_requires_positive_variance():
-    tr = msdd.build_trellis(1)
     with pytest.raises(ValueError):
-        msdd.evidence(np.array([1.0]), np.array([False]), 0, tr, 1.0, 0.0)
+        _log_evidence([[1.0]], [[False]], 1, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
-# forward / backward passes
+# forward / backward sweep
+
+
+def _sweep_rows(samples, priors, m, A, s2):
+    """Normalized alpha and beta rows of one sequence, (N+1, 2^M) each."""
+    logE = msdd.log_evidence_matrix(samples, msdd.build_trellis(m), A, s2)
+    logp = msdd._log_priors(priors, samples.n_symbols)
+    la, lb = msdd._sweep(logE[:, None, :], logp[:, None, :])
+    lb = lb[..., np.arange(2 ** m) % 2 ** (m - 1)]
+    alpha, beta = np.exp(la[:, 0]), np.exp(lb[:, 0])
+    return (alpha / alpha.sum(axis=1, keepdims=True),
+            beta / beta.sum(axis=1, keepdims=True))
 
 
 def test_forward_matches_prefix_enumeration():
     a, samples, model, priors = _instance(1, n=8, m=2)
-    tr = msdd.build_trellis(2)
-    alpha = msdd.forward_pass(samples, priors, tr, model.amplitude,
-                              model.sigma_n_sq)
+    alpha, _ = _sweep_rows(samples, priors, 2, model.amplitude,
+                           model.sigma_n_sq)
     want = reference.forward_state_marginals_bruteforce(
         samples, 2, model.amplitude, model.sigma_n_sq, priors)
     assert np.allclose(alpha, want, rtol=1e-9, atol=1e-12)
@@ -124,9 +135,8 @@ def test_forward_matches_prefix_enumeration():
 
 def test_backward_boundary_is_uniform():
     a, samples, model, priors = _instance(2, n=6, m=2)
-    tr = msdd.build_trellis(2)
-    beta = msdd.backward_pass(samples, priors, tr, model.amplitude,
-                              model.sigma_n_sq)
+    _, beta = _sweep_rows(samples, priors, 2, model.amplitude,
+                          model.sigma_n_sq)
     assert np.allclose(beta[-1], 0.25)
 
 
@@ -136,21 +146,87 @@ def test_forward_point_mass_on_noiseless_symbols():
     model = acr.NoiseModel(P.N_f, 1.0, 0.0, P.W, P.T_g)
     samples = acr.generate_discrete(a, 1, model, rng)
     # evaluate with a small but positive detection variance
-    tr = msdd.build_trellis(1)
-    alpha = msdd.forward_pass(samples, None, tr, model.amplitude, 1e-2)
+    alpha, _ = _sweep_rows(samples, None, 1, model.amplitude, 1e-2)
     for i in range(1, 11):
         state = 0 if a[i - 1] == 1 else 1
         assert alpha[i, state] > 1.0 - 1e-12
 
 
-def test_pass_costs_count_every_transition_once():
-    a, samples, model, priors = _instance(4, n=16, m=3)
-    stats = {}
-    msdd.msdd_app(samples, 3, model.amplitude, model.sigma_n_sq,
-                  priors, stats=stats)
-    # forward and backward each visit 2*2^M transitions per symbol
-    assert stats["transition_visits"] == 2 * 16 * 2 ** (3 + 1)
+def _forward_loop(logE, logp):
+    """Reference: the per-sequence forward loop with gathered predecessors."""
+    N, S = logE.shape
+    prev0 = np.arange(S) >> 1
+    in_bit = np.arange(S) & 1
+    la = np.full((N + 1, S), -np.inf)
+    la[0, 0] = 0.0
+    for i in range(1, N + 1):
+        prev = la[i - 1]
+        v = (np.logaddexp(prev[prev0], prev[prev0 + S // 2])
+             + logp[i - 1, in_bit] + logE[i - 1])
+        la[i] = v - v.max()
+    return la
 
+
+def _backward_loop(logE, logp):
+    """Reference: the per-sequence backward loop over all 2^M states."""
+    N, S = logE.shape
+    to0 = (np.arange(S) << 1) & (S - 1)
+    lb = np.zeros((N + 1, S))
+    for i in range(N, 0, -1):
+        nxt = lb[i] + logE[i - 1]
+        v = np.logaddexp(nxt[to0] + logp[i - 1, 0],
+                         nxt[to0 | 1] + logp[i - 1, 1])
+        lb[i - 1] = v - v.max()
+    return lb
+
+
+def _stack(seed, m, n, b, noise, saturate):
+    """b sequences with distinct amplitude and noise level, and priors."""
+    rng = np.random.default_rng(seed)
+    samples, amps, sigmas, priors = [], [], [], []
+    for _ in range(b):
+        model = acr.NoiseModel(P.N_f, rng.uniform(0.3, 3.0),
+                               noise * rng.uniform(0.5, 2.0), P.W, P.T_g)
+        a = 1 - 2 * rng.integers(0, 2, n)
+        samples.append(acr.generate_discrete(a, m, model, rng))
+        amps.append(model.amplitude)
+        sigmas.append(model.sigma_n_sq)
+        p = rng.uniform(0.0, 1.0, n)
+        if saturate:
+            p[rng.random(n) < 0.4] = 1e-300
+            p[rng.random(n) < 0.4] = 1.0 - 1e-16
+        priors.append(np.column_stack([p, 1.0 - p]))
+    return samples, amps, sigmas, priors
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 7),
+       extra=st.integers(0, 33), b=st.integers(1, 9),
+       noise=st.sampled_from([1e-9, 1e-4, 0.05, 0.5, 5.0]),
+       saturate=st.booleans())
+def test_batched_sweep_matches_single_sequences(seed, m, extra, b, noise,
+                                                saturate):
+    n = m + extra
+    samples, amps, sigmas, priors = _stack(seed, m, n, b, noise, saturate)
+    tr = msdd.build_trellis(m)
+    logE = np.stack([msdd.log_evidence_matrix(s, tr, A, v)
+                     for s, A, v in zip(samples, amps, sigmas)], axis=1)
+    logp = np.stack([msdd._log_priors(p, n) for p in priors], axis=1)
+    la, lb = msdd._sweep(logE, logp)
+    lg = msdd._merge_log(la, lb, logE)
+    hard = msdd.detect_mmsdd(samples, m, amps, sigmas)
+    assert hard.shape == (b, n)
+    for j in range(b):
+        # the same float operations, in the same order, as one sequence alone
+        assert np.array_equal(la[:, j], _forward_loop(logE[:, j], logp[:, j]))
+        assert np.array_equal(lb[:, j, np.arange(2 ** m) % 2 ** (m - 1)],
+                              _backward_loop(logE[:, j], logp[:, j]))
+        app, gamma = msdd.msdd_app(samples[j], m, amps[j], sigmas[j],
+                                   priors[j])
+        assert np.array_equal(gamma, beliefs.from_log(lg[:, j]))
+        assert np.array_equal(app, beliefs.from_log(lg[:, j] + logp[:, j]))
+        app, _ = msdd.msdd_app(samples[j], m, amps[j], sigmas[j])
+        assert np.array_equal(hard[j], beliefs.hard(app))
 
 # ---------------------------------------------------------------------------
 # merged posteriors against the enumeration oracle
@@ -236,8 +312,8 @@ def test_noiseless_detection_recovers_symbols():
         a = 1 - 2 * rng.integers(0, 2, 20)
         model = acr.NoiseModel(P.N_f, 1.0, 0.0, P.W, P.T_g)
         samples = acr.generate_discrete(a, m, model, rng)
-        got = msdd.detect_mmsdd(samples, m, model.amplitude, 1e-2)
-        assert np.array_equal(got, a)
+        got = msdd.detect_mmsdd([samples], m, model.amplitude, 1e-2)
+        assert np.array_equal(got[0], a)
 
 
 def test_dd_sign_rule_and_tie_break():

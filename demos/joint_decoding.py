@@ -31,7 +31,7 @@ def trace_one_packet(snr_db, seed):
     a = txchain.bits_to_symbols(txchain.interleave(cw, imap))
     samples = acr.generate_discrete(a, 2, model, rng)
 
-    out = joint.run_joint(samples, "mmsdd", code, imap, model,
+    out = joint.run_joint(samples, code, imap, model,
                           early_exit=False, true_coded_bits=cw)
     print(f"one packet at {snr_db:g} dB, sliding-window detector, M=2:")
     print("iter   detector correct   decoder correct   checks satisfied")
@@ -60,7 +60,7 @@ def compare_detectors(snr_db, packets, seed):
                 samples = acr.generate_discrete(a, 2, model, rng)
             else:
                 samples = acr.generate_discrete_blocks(a, 2, model, rng)
-            out = joint.run_joint(samples, kind, code, imap, model)
+            out = joint.run_joint(samples, code, imap, model)
             errors += int(np.sum(out.info_bits != info))
         ber = errors / (packets * code.k)
         print(f"  {label:15s} {ber:.3e}  ({errors} errors)")

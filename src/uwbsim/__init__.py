@@ -8,10 +8,12 @@ symbol Markov chain (sliding window) or as independent block enumeration,
 optionally exchanging extrinsic messages with an LDPC decoder.
 
 Layout: `params` (system constants), `waveform`/`channel` (pulse-level
-simulation and dense multipath), `txchain` (coding-side plumbing), `acr`
-(correlation sampling and the discrete statistical model), `beliefs`
-(probability-pair arrays), `msdd` (detectors), `ldpc` (code + decoder),
-`joint` (iterative receiver), `reference` (brute-force oracles), `harness`
+transmit through dense multipath, front-end filter and noise), `txchain`
+(differential encoding and interleaving), `acr` (de-spreading, correlation
+sampling and the discrete statistical model), `beliefs` (probability-pair
+arrays), `msdd` (detectors), `ldpc` (code + decoder), `joint` (iterative
+receiver; CorrSamples select the sliding-window detector, BlockCorrSamples
+the block detector), `reference` (brute-force oracles), `harness`
 (test-case experiments), `cli` (command line).
 """
 
@@ -20,8 +22,8 @@ from .channel import ChannelRealization, generate_cm2
 from .harness import ExperimentConfig, default_config
 from .joint import run_joint
 from .ldpc import LdpcCode, construct_regular, decode, encode
-from .msdd import (bmsdd_detect, bmsdd_extrinsic, build_trellis, detect_dd,
-                   detect_mmsdd, msdd_app)
+from .msdd import (bmsdd_detect, bmsdd_extrinsic, detect_dd, detect_mmsdd,
+                   msdd_app)
 from .params import SystemParams
 from .txchain import InterleaverMap
 
@@ -30,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockCorrSamples", "ChannelRealization", "CorrSamples",
     "ExperimentConfig", "InterleaverMap", "LdpcCode", "NoiseModel",
-    "SystemParams", "bmsdd_detect", "bmsdd_extrinsic", "build_trellis",
-    "construct_regular", "decode", "default_config", "detect_dd",
-    "detect_mmsdd", "encode", "generate_cm2", "msdd_app", "run_joint",
+    "SystemParams", "bmsdd_detect", "bmsdd_extrinsic", "construct_regular",
+    "decode", "default_config", "detect_dd", "detect_mmsdd", "encode",
+    "generate_cm2", "msdd_app", "run_joint",
 ]

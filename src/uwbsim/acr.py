@@ -20,8 +20,7 @@ every window pair inside a block (plus the reference window just before it),
 M(M+1)/2 samples per block.
 """
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,21 +128,6 @@ class BlockCorrSamples:
     def valid_mask(self) -> np.ndarray:
         M = self.block_size
         return np.tril(np.ones((M, M), dtype=bool))
-
-
-def despread(received: SampledSignal, th: ThCode, params) -> SampledSignal:
-    """De-spread over the largest span where all N_f probes stay in-signal."""
-    th.validate(params)
-    x = received.samples
-    offs = [params.to_samples(j * params.T_f + c * params.T_c)
-            for j, c in enumerate(th.chips)]
-    L = len(x) - max(offs)
-    if L <= 0:
-        raise ValueError("received signal shorter than the hopping span")
-    y = np.zeros(L)
-    for k in offs:
-        y += x[k:k + L]
-    return SampledSignal(y, received.f_sim, received.t0)
 
 
 def despread_windows(received: SampledSignal, th: ThCode, params,
@@ -259,33 +243,3 @@ def estimate_Eg(samples, N_f: int) -> float:
     if vals.size == 0:
         raise ValueError("no samples to estimate from")
     return float(np.sum(np.abs(vals)) / (vals.size * N_f))
-
-
-def export_corr_csv(samples: CorrSamples, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["i", "m", "value", "is_pad"])
-        N, M = samples.values.shape
-        for i in range(1, N + 1):
-            for m in range(1, M + 1):
-                w.writerow([i, m, f"{samples.values[i - 1, m - 1]:.12g}",
-                            int(samples.pad_mask[i - 1, m - 1])])
-
-
-def import_corr_csv(path) -> CorrSamples:
-    rows = []
-    with open(path, newline="") as f:
-        r = csv.reader(f)
-        header = next(r)
-        if header != ["i", "m", "value", "is_pad"]:
-            raise ValueError("unrecognized sample file header")
-        for row in r:
-            rows.append((int(row[0]), int(row[1]), float(row[2]), int(row[3])))
-    N = max(t[0] for t in rows)
-    M = max(t[1] for t in rows)
-    vals = np.zeros((N, M))
-    mask = np.zeros((N, M), dtype=bool)
-    for i, m, v, p in rows:
-        vals[i - 1, m - 1] = v
-        mask[i - 1, m - 1] = bool(p)
-    return CorrSamples(vals, mask)

@@ -8,7 +8,6 @@ unit total energy before truncation to [0, T_g]; the per-realization shadowing
 factor is left out because of that normalization.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +40,6 @@ class ChannelRealization:
             raise ValueError("delays and gains must have equal length")
         if len(self.delays) and np.any(self.delays < 0):
             raise ValueError("tap delays must be nonnegative")
-
-    @property
-    def n_taps(self) -> int:
-        return len(self.delays)
 
 
 def _sv_tap_draw(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -135,28 +130,3 @@ def rms_delay_spread(channel: ChannelRealization) -> float:
     mean = np.sum(p * channel.delays) / total
     second = np.sum(p * channel.delays ** 2) / total
     return float(np.sqrt(max(second - mean ** 2, 0.0)))
-
-
-def export_taps(channel: ChannelRealization, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["delay_ns", "gain"])
-        for d, g in zip(channel.delays, channel.gains):
-            w.writerow([f"{d * 1e9:.6f}", f"{g:.12g}"])
-
-
-def import_taps(path, params=None) -> ChannelRealization:
-    delays = []
-    gains = []
-    with open(path, newline="") as f:
-        r = csv.reader(f)
-        header = next(r)
-        if header[:2] != ["delay_ns", "gain"]:
-            raise ValueError("unrecognized tap file header")
-        for row in r:
-            delays.append(float(row[0]) * 1e-9)
-            gains.append(float(row[1]))
-    ch = ChannelRealization(np.asarray(delays), np.asarray(gains))
-    if params is not None:
-        ch.E_g = captured_energy(ch, params)
-    return ch

@@ -27,7 +27,8 @@ from itertools import groupby
 import numpy as np
 
 from . import acr, channel as chmod, joint as jointmod, ldpc, txchain, waveform
-from .msdd import BATCH_ELEMENTS, bmsdd_detect, detect_dd, detect_mmsdd
+from .msdd import (BATCH_ELEMENTS, MAX_WINDOW, bmsdd_detect, detect_dd,
+                   detect_mmsdd)
 from .params import SystemParams
 
 
@@ -40,6 +41,8 @@ _SCHEME_IDS = {
     "noise": 5, "estimate": 6, "channel": 7,
 }
 _EG_IDS = {"perfect": 0, "estimated": 1}
+# the detectors each BER campaign runs
+_BER_SCHEMES = {3: {"dd", "bmsdd", "mmsdd"}, 4: {"joint-mmsdd", "joint-bmsdd"}}
 # trace runs use point indices offset by this so they never share a stream
 # with the BER sweep of the same test case
 _TRACE_POINT_BASE = 1000
@@ -89,6 +92,15 @@ class ExperimentConfig:
         for s in self.schemes:
             if s not in _SCHEME_IDS:
                 raise ConfigError(f"unknown scheme {s!r}")
+        if not self.eg_modes or not self.m_list:
+            raise ConfigError("eg_modes and m_list must be non-empty")
+        allowed = _BER_SCHEMES.get(self.test_case)
+        named = set(self.schemes)
+        if self.test_case == 4:
+            named |= set(self.trace_schemes)
+        if allowed and not (self.schemes and named <= allowed):
+            raise ConfigError(f"test case {self.test_case} runs schemes from "
+                              f"{sorted(allowed)}; got {sorted(named) or 'none'}")
         if self.test_case == 1 and self.path != "waveform":
             raise ConfigError("test case 1 requires the waveform path")
         if self.test_case in (2, 4) and self.path != "discrete":
@@ -101,8 +113,9 @@ class ExperimentConfig:
         # every window must fit in a packet, and block schemes must tile it
         n_pkt = self.n_coded if self.test_case == 4 else self.n_symbols
         for m in self.m_list:
-            if not (1 <= int(m) <= min(10, n_pkt)):
-                raise ConfigError(f"M values must be in 1..{min(10, n_pkt)}")
+            if not (1 <= int(m) <= min(MAX_WINDOW, n_pkt)):
+                raise ConfigError(
+                    f"M values must be in 1..{min(MAX_WINDOW, n_pkt)}")
             if self.test_case == 4 and n_pkt % int(m) != 0:
                 raise ConfigError("block schemes need n_coded divisible by M")
         if self.test_case == 4:
@@ -322,28 +335,12 @@ def _ideal_channel(params: SystemParams) -> chmod.ChannelRealization:
 
 def _waveform_packet(a, params: SystemParams, th, ch, N0, rng,
                      M: int, block: bool = False):
-    """Simulate one packet through the waveform chain and sample it.
-
-    The channel template is rendered once and superposed per symbol; because
-    the channel and the front-end filter are linear and time-invariant this
-    equals transmitting the full pulse train and filtering, up to rounding.
-    """
-    import scipy.fft
-    d = txchain.differential_modulate(a)
-    template = waveform.apply_channel(waveform.symbol_waveform(params, th),
-                                      ch, params)
-    step = params.to_samples(params.T_s)
-    tlen = len(template.samples)
-    need = step * (len(d) - 1) + tlen
-    total = scipy.fft.next_fast_len(need)
-    buf = np.zeros(total)
-    for i, di in enumerate(d):
-        buf[i * step:i * step + tlen] += di * template.samples
+    """Simulate one packet through the waveform chain and sample it."""
     sig = waveform.add_awgn_and_filter(
-        waveform.SampledSignal(buf, params.f_sim), N0, params, rng)
-    if block:
-        return acr.sample_block(sig, th, params, len(a), M)
-    return acr.sample_overlapping(sig, th, params, len(a), M)
+        waveform.transmit(txchain.differential_modulate(a), params, th, ch),
+        N0, params, rng)
+    sample = acr.sample_block if block else acr.sample_overlapping
+    return sample(sig, th, params, len(a), M)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +357,7 @@ def run_testcase1(cfg: ExperimentConfig, out_dir=None) -> list[NoiseStats]:
 
     cfg.validate()
     params = SystemParams()
-    M = int(cfg.m_list[0]) if cfg.m_list else 3
+    M = int(cfg.m_list[0])
     results = []
     hist_rows = []
     moment_rows = []
@@ -606,19 +603,18 @@ def _coded_packet(cfg, params, code, point, pkt, early_exit=True,
     rng = _packet_rng(cfg.seed, cfg.test_case, p_idx, scheme, m, eg_mode, pkt)
     N0 = n0_for_snr(snr, 1.0, code.rate, params)
     model = acr.NoiseModel(params.N_f, 1.0, N0, params.W, params.T_g)
-    kind = "mmsdd" if scheme == "joint-mmsdd" else "bmsdd"
     info = rng.integers(0, 2, code.k).astype(np.uint8)
     cw = ldpc.encode(code, info)
     imap = txchain.InterleaverMap.random(code.n, rng)
     a = txchain.bits_to_symbols(txchain.interleave(cw, imap))
-    if kind == "mmsdd":
+    if scheme == "joint-mmsdd":
         samples = acr.generate_discrete(a, m, model, rng)
     else:
         samples = acr.generate_discrete_blocks(a, m, model, rng)
     if eg_mode == "estimated":
         eh = acr.estimate_Eg(samples, params.N_f)
         model = acr.NoiseModel(params.N_f, eh, N0, params.W, params.T_g)
-    res = jointmod.run_joint(samples, kind, code, imap, model,
+    res = jointmod.run_joint(samples, code, imap, model,
                              outer_iters=cfg.outer_iters,
                              inner_iters=cfg.inner_iters,
                              variance_factor=cfg.variance_factor,

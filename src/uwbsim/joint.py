@@ -37,18 +37,9 @@ class JointResult:
     trace: list
 
 
-def normalize_detector_kind(kind: str) -> str:
-    k = kind.lower().replace("-", "").replace("_", "")
-    if k in ("mmsdd", "msdd"):
-        return "mmsdd"
-    if k == "bmsdd":
-        return "bmsdd"
-    raise ValueError(f"unknown detector kind: {kind!r}")
-
-
-def _detector_extrinsic(samples, kind: str, priors_sym: np.ndarray,
-                        model: NoiseModel, variance_factor: int) -> np.ndarray:
-    if kind == "mmsdd":
+def _detector_extrinsic(samples, priors_sym: np.ndarray, model: NoiseModel,
+                        variance_factor: int) -> np.ndarray:
+    if isinstance(samples, CorrSamples):
         _, gamma = msdd_app(samples, samples.window, model.amplitude,
                             model.sigma_n_sq, priors=priors_sym,
                             variance_factor=variance_factor)
@@ -57,30 +48,24 @@ def _detector_extrinsic(samples, kind: str, priors_sym: np.ndarray,
                            model.sigma_n_sq, variance_factor)
 
 
-def run_joint(samples, detector_kind: str, code: ldpc.LdpcCode,
-              imap: InterleaverMap, model: NoiseModel, outer_iters: int = 10,
+def run_joint(samples, code: ldpc.LdpcCode, imap: InterleaverMap,
+              model: NoiseModel, outer_iters: int = 10,
               inner_iters: int = 10, variance_factor: int = 1,
               early_exit: bool = True, true_coded_bits=None) -> JointResult:
     """Run the serial schedule and decode one packet.
 
-    true_coded_bits (codeword order, 0/1) is a simulator-side oracle used
-    only to fill the trace; it never influences any message.
+    The samples pick the detector: CorrSamples run the sliding-window
+    detector, BlockCorrSamples the block detector.  true_coded_bits
+    (codeword order, 0/1) is a simulator-side oracle used only to fill the
+    trace; it never influences any message.
     """
-    kind = normalize_detector_kind(detector_kind)
     if outer_iters < 1:
         raise ValueError("outer_iters must be >= 1")
-    if isinstance(samples, CorrSamples):
-        n_sym = samples.n_symbols
-    elif isinstance(samples, BlockCorrSamples):
-        n_sym = samples.n_blocks * samples.block_size
-    else:
+    if not isinstance(samples, (CorrSamples, BlockCorrSamples)):
         raise TypeError("samples must be CorrSamples or BlockCorrSamples")
-    if kind == "bmsdd" and not isinstance(samples, BlockCorrSamples):
-        raise TypeError("block detector requires BlockCorrSamples")
-    if kind == "mmsdd" and not isinstance(samples, CorrSamples):
-        raise TypeError("sliding-window detector requires CorrSamples")
-    if n_sym != code.n:
-        raise ValueError(f"got {n_sym} symbols for a length-{code.n} code")
+    if samples.n_symbols != code.n:
+        raise ValueError(f"got {samples.n_symbols} symbols for a "
+                         f"length-{code.n} code")
     if len(imap.perm) != code.n:
         raise ValueError("interleaver length must equal codeword length")
     n_checks = code.H.shape[0]
@@ -91,7 +76,7 @@ def run_joint(samples, detector_kind: str, code: ldpc.LdpcCode,
     n_outer_run = 0
     for t in range(1, outer_iters + 1):
         priors_sym = interleave(zeta, imap)
-        gamma_sym = _detector_extrinsic(samples, kind, priors_sym, model,
+        gamma_sym = _detector_extrinsic(samples, priors_sym, model,
                                         variance_factor)
         gamma_code = deinterleave(gamma_sym, imap)
         res = ldpc.decode(code, beliefs.to_llr(gamma_code),

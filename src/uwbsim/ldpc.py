@@ -232,35 +232,3 @@ def decode(code: LdpcCode, channel_llr: np.ndarray, max_iter: int = 10,
     return DecodeResult(hard_bits=hard, posterior_llr=post, extrinsic_llr=extr,
                         n_iterations=n_run, checks_satisfied=(n_bad == 0),
                         n_unsatisfied=n_bad)
-
-
-def export_alist(code: LdpcCode, path) -> None:
-    """Write the parity-check matrix in MacKay alist format (1-based)."""
-    H = code.H
-    n_rows, n = H.shape
-    col_lists = [np.nonzero(H[:, j])[0] + 1 for j in range(n)]
-    row_lists = [np.nonzero(H[i, :])[0] + 1 for i in range(n_rows)]
-    max_cw = max(len(c) for c in col_lists)
-    max_rw = max(len(r) for r in row_lists)
-    lines = [f"{n} {n_rows}", f"{max_cw} {max_rw}"]
-    lines.append(" ".join(str(len(c)) for c in col_lists))
-    lines.append(" ".join(str(len(r)) for r in row_lists))
-    for c in col_lists:
-        lines.append(" ".join(map(str, c)))
-    for r in row_lists:
-        lines.append(" ".join(map(str, r)))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def import_alist(path) -> np.ndarray:
-    """Read an alist file back into a dense uint8 parity-check matrix."""
-    with open(path) as f:
-        tokens = f.read().split("\n")
-    n, n_rows = map(int, tokens[0].split())
-    H = np.zeros((n_rows, n), dtype=np.uint8)
-    for j in range(n):
-        for r in tokens[4 + j].split():
-            if int(r) > 0:
-                H[int(r) - 1, j] = 1
-    return H

@@ -18,6 +18,8 @@ factor cancels from the detector's own posteriors but shifts the sharpness of
 the soft outputs handed to a decoder, so it is exposed as a knob.
 """
 
+import functools
+
 import numpy as np
 
 from . import beliefs
@@ -29,58 +31,9 @@ MAX_WINDOW = 10
 _TINY = np.finfo(float).tiny
 
 
-class TrellisSpec:
-    """State/transition tables for window size M.
-
-    States are integers in [0, 2^M); bit k set means a_{i-k} = -1, so state 0
-    is the all-+1 state.  signs[s, m-1] is the product of the m newest symbols
-    of state s.
-    """
-
-    def __init__(self, M: int):
-        if not (1 <= M <= MAX_WINDOW):
-            raise ValueError(f"window size must be in 1..{MAX_WINDOW}")
-        self.M = M
-        self.n_states = 1 << M
-        s = np.arange(self.n_states)
-        bits = (s[:, None] >> np.arange(M)[None, :]) & 1
-        self.state_bits = bits
-        self.signs = np.cumprod(1 - 2 * bits, axis=1).astype(float)
-        self.mask = self.n_states - 1
-
-    def state_symbols(self, s: int) -> np.ndarray:
-        """Symbols (a_i, ..., a_{i-M+1}) of state s, newest first."""
-        return 1 - 2 * self.state_bits[s]
-
-    def shift(self, s_prev: int, a: int) -> int:
-        """Successor state when symbol a in {+1,-1} is shifted in."""
-        bit = (1 - a) // 2
-        return ((s_prev << 1) | bit) & self.mask
-
-    def is_valid_transition(self, s_prev: int, a: int, s_next: int) -> bool:
-        return s_next == self.shift(s_prev, a)
-
-    def transitions(self):
-        """All (s_prev, a, s_next) triples; 2^(M+1) of them."""
-        out = []
-        for s_prev in range(self.n_states):
-            for a in (+1, -1):
-                out.append((s_prev, a, self.shift(s_prev, a)))
-        return out
-
-
-_trellis_cache: dict[int, TrellisSpec] = {}
-
-
-def build_trellis(M: int) -> TrellisSpec:
-    if M not in _trellis_cache:
-        _trellis_cache[M] = TrellisSpec(M)
-    return _trellis_cache[M]
-
-
-def log_evidence_matrix(samples: CorrSamples, trellis: TrellisSpec,
-                        amplitude: float, sigma_sq: float,
-                        variance_factor: int = 1) -> np.ndarray:
+def log_evidence_matrix(samples: CorrSamples, amplitude: float,
+                        sigma_sq: float, variance_factor: int = 1
+                        ) -> np.ndarray:
     """log p(Y_i | S_i) for every step and state, shape (N, 2^M).
 
     The squared residual is expanded so the state axis only enters through
@@ -93,7 +46,7 @@ def log_evidence_matrix(samples: CorrSamples, trellis: TrellisSpec,
     keep = (~samples.pad_mask).astype(float)
     kY = Y * keep
     const = np.sum(kY * Y, axis=1) + amplitude ** 2 * keep.sum(axis=1)
-    cross = kY @ trellis.signs.T
+    cross = kY @ _state_signs(samples.window).T
     se = const[:, None] - 2.0 * amplitude * cross
     return -se / (variance_factor * sigma_sq)
 
@@ -188,10 +141,9 @@ def msdd_app(samples: CorrSamples, M: int, amplitude: float, sigma_sq: float,
              priors=None, variance_factor: int = 1
              ) -> tuple[np.ndarray, np.ndarray]:
     """Full sliding-window detection pipeline; returns (app, gamma)."""
-    trellis = build_trellis(M)
     if samples.window != M:
         raise ValueError("sample window does not match M")
-    logE = log_evidence_matrix(samples, trellis, amplitude, sigma_sq,
+    logE = log_evidence_matrix(samples, amplitude, sigma_sq,
                                variance_factor)[:, None, :]
     logp = _log_priors(priors, samples.n_symbols)[:, None, :]
     lg = _merge_log(*_sweep(logE, logp), logE)
@@ -209,13 +161,12 @@ def detect_mmsdd(samples, M: int, amplitude, sigma_sq,
     One sweep serves the whole stack, so callers keep B * N * 2^M within
     BATCH_ELEMENTS.
     """
-    trellis = build_trellis(M)
     if any(s.window != M for s in samples):
         raise ValueError("sample window does not match M")
     B = len(samples)
     amplitude = np.broadcast_to(amplitude, B)
     sigma_sq = np.broadcast_to(sigma_sq, B)
-    logE = np.stack([log_evidence_matrix(s, trellis, a, v, variance_factor)
+    logE = np.stack([log_evidence_matrix(s, a, v, variance_factor)
                      for s, a, v in zip(samples, amplitude, sigma_sq)], axis=1)
     logp = np.full(logE.shape[:2] + (2,), np.log(0.5))
     lg = _merge_log(*_sweep(logE, logp), logE)
@@ -227,28 +178,36 @@ def detect_dd(samples: CorrSamples) -> np.ndarray:
     return np.where(samples.values[:, 0] >= 0.0, 1, -1).astype(int)
 
 
-_block_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+@functools.cache
+def _state_signs(M: int) -> np.ndarray:
+    """(2^M, M) table: row s, column m-1 is the product of the m newest
+    symbols of sliding state s.
+
+    Bit k of s set means a_{i-k} = -1, so state 0 is the all-+1 state and
+    shifting symbol bit b into state s gives (2s + b) mod 2^M.
+    """
+    if not (1 <= M <= MAX_WINDOW):
+        raise ValueError(f"window size must be in 1..{MAX_WINDOW}")
+    bits = (np.arange(1 << M)[:, None] >> np.arange(M)[None, :]) & 1
+    return np.cumprod(1 - 2 * bits, axis=1).astype(float)
 
 
+@functools.cache
 def _block_tables(M: int):
     """(bits, signs3, valid): per-hypothesis bit patterns and sample signs.
 
-    bits[h, t] encodes local symbol x_{t+1} (0 means +1).  signs3[h, r, c] is
-    the noiseless sign of the block sample correlating windows r+1 and c under
-    hypothesis h, i.e. the product x_{c+1}..x_{r+1}.
+    bits[h, t] encodes local symbol x_{t+1} (0 means +1), the bit layout of
+    sliding state h, so row h of _state_signs(M) holds the running products
+    x_1..x_{t+1}.  signs3[h, r, c] is the noiseless sign of the block sample
+    correlating windows r+1 and c under hypothesis h, i.e. the product
+    x_{c+1}..x_{r+1}.
     """
-    if not (1 <= M <= MAX_WINDOW):
-        raise ValueError(f"block size must be in 1..{MAX_WINDOW}")
-    if M not in _block_cache:
-        H = 1 << M
-        bits = (np.arange(H)[:, None] >> np.arange(M)[None, :]) & 1
-        x = 1 - 2 * bits
-        C = np.concatenate([np.ones((H, 1)), np.cumprod(x, axis=1)], axis=1)
-        signs3 = C[:, 1:, None] * C[:, None, :-1]
-        valid = np.tril(np.ones((M, M), dtype=bool))
-        signs3 = signs3 * valid[None, :, :]
-        _block_cache[M] = (bits, signs3, valid)
-    return _block_cache[M]
+    signs = _state_signs(M)
+    bits = (np.arange(1 << M)[:, None] >> np.arange(M)[None, :]) & 1
+    C = np.concatenate([np.ones((1 << M, 1)), signs], axis=1)
+    valid = np.tril(np.ones((M, M), dtype=bool))
+    signs3 = C[:, 1:, None] * C[:, None, :-1] * valid[None, :, :]
+    return bits, signs3, valid
 
 
 def _block_loglik(blocks: BlockCorrSamples, amplitude: float, sigma_sq: float,
@@ -291,8 +250,7 @@ def bmsdd_detect(blocks: BlockCorrSamples) -> np.ndarray:
     The quadratic expands so the argmax only needs the sign-weighted sample
     sum; amplitude and noise level drop out.
     """
-    _, signs3, _ = _block_tables(blocks.block_size)
+    bits, signs3, _ = _block_tables(blocks.block_size)
     score = np.einsum("urc,hrc->uh", blocks.values, signs3)
     best = np.argmax(score, axis=1)
-    bits, _, _ = _block_tables(blocks.block_size)
     return (1 - 2 * bits[best]).reshape(-1).astype(int)

@@ -34,10 +34,6 @@ class InterleaverMap:
     def random(cls, n: int, rng: np.random.Generator) -> "InterleaverMap":
         return cls(rng.permutation(n))
 
-    @classmethod
-    def identity(cls, n: int) -> "InterleaverMap":
-        return cls(np.arange(n))
-
 
 def interleave(x: np.ndarray, imap: InterleaverMap) -> np.ndarray:
     x = np.asarray(x)
@@ -61,13 +57,6 @@ def bits_to_symbols(bits: np.ndarray) -> np.ndarray:
     return 1 - 2 * bits
 
 
-def symbols_to_bits(symbols: np.ndarray) -> np.ndarray:
-    symbols = np.asarray(symbols, dtype=int)
-    if np.any(np.abs(symbols) != 1):
-        raise ValueError("symbols must be +-1")
-    return (1 - symbols) // 2
-
-
 def differential_modulate(symbols: np.ndarray) -> np.ndarray:
     """Return d_0..d_N for data symbols a_1..a_N, with d_0 = +1."""
     symbols = np.asarray(symbols, dtype=int)
@@ -77,14 +66,3 @@ def differential_modulate(symbols: np.ndarray) -> np.ndarray:
     d[0] = 1
     np.cumprod(symbols, out=d[1:])
     return d
-
-
-def differential_demodulate_product(diff_symbols: np.ndarray, i: int, m: int) -> int:
-    """Product d_i * d_{i-m}, i.e. the running product a_{i-m+1}*...*a_i."""
-    d = np.asarray(diff_symbols, dtype=int)
-    n = len(d) - 1
-    if not (1 <= i <= n):
-        raise ValueError(f"i must be in 1..{n}")
-    if not (1 <= m <= i):
-        raise ValueError("m must be in 1..i")
-    return int(d[i] * d[i - m])

@@ -17,18 +17,6 @@ SHAPE_RATIO = 7.0
 class SampledSignal:
     samples: np.ndarray
     f_sim: float
-    t0: float = 0.0
-
-    @property
-    def dt(self) -> float:
-        return 1.0 / self.f_sim
-
-    @property
-    def duration(self) -> float:
-        return len(self.samples) * self.dt
-
-    def energy(self) -> float:
-        return float(np.sum(self.samples ** 2) * self.dt)
 
 
 @dataclass
@@ -82,16 +70,26 @@ def symbol_waveform(params, th: ThCode) -> SampledSignal:
     return SampledSignal(out, params.f_sim)
 
 
-def transmit(diff_symbols: np.ndarray, params, th: ThCode) -> SampledSignal:
-    """Superpose d_i-weighted symbol waveforms at offsets i*T_s, i = 0..N."""
+def transmit(diff_symbols: np.ndarray, params, th: ThCode,
+             channel) -> SampledSignal:
+    """Noiseless received signal of d_0..d_N through `channel`.
+
+    The channel-filtered symbol waveform is rendered once and superposed,
+    d_i-weighted, at offsets i*T_s; the channel is linear and time-invariant,
+    so this equals passing the whole pulse train through it, up to rounding.
+    The buffer is zero-padded to a fast FFT length for the front-end filter.
+    """
+    import scipy.fft
     d = np.asarray(diff_symbols, dtype=float)
-    if d.ndim != 1 or np.any(np.abs(d) != 1):
-        raise ValueError("diff_symbols must be a 1-d array of +-1")
-    ws = symbol_waveform(params, th).samples
+    if d.ndim != 1 or d.size == 0 or np.any(np.abs(d) != 1):
+        raise ValueError("diff_symbols must be a non-empty 1-d array of +-1")
+    template = apply_channel(symbol_waveform(params, th), channel,
+                             params).samples
     step = params.to_samples(params.T_s)
-    out = np.zeros(step * len(d))
+    n = len(template)
+    out = np.zeros(scipy.fft.next_fast_len(step * (len(d) - 1) + n))
     for i, di in enumerate(d):
-        out[i * step:i * step + len(ws)] += di * ws
+        out[i * step:i * step + n] += di * template
     return SampledSignal(out, params.f_sim)
 
 
@@ -106,7 +104,7 @@ def apply_channel(sig: SampledSignal, channel, params) -> SampledSignal:
     out = np.zeros(len(x) + (int(idx.max()) if len(idx) else 0))
     for k, g in zip(idx, gains):
         out[k:k + len(x)] += g * x
-    return SampledSignal(out, sig.f_sim, sig.t0)
+    return SampledSignal(out, sig.f_sim)
 
 
 def brickwall_lowpass(x: np.ndarray, f_sim: float, W: float) -> np.ndarray:
@@ -128,4 +126,4 @@ def add_awgn_and_filter(sig: SampledSignal, N0: float, params,
             raise ValueError("rng required when N0 > 0")
         x = x + rng.normal(0.0, np.sqrt(N0 * params.f_sim / 2.0), len(x))
     return SampledSignal(brickwall_lowpass(x, params.f_sim, params.W),
-                         sig.f_sim, sig.t0)
+                         sig.f_sim)

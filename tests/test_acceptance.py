@@ -180,11 +180,9 @@ def test_criterion_8_convergence_traces(tc4_run):
 
 
 def test_criterion_9_structural_invariants(tmp_path):
-    # trellis sizing
+    # trellis sizing: one row of run-product signs per state
     for m in range(1, 6):
-        tr = msdd.build_trellis(m)
-        assert tr.n_states == 2 ** m
-        assert len(tr.transitions()) == 2 ** (m + 1)
+        assert msdd._state_signs(m).shape == (2 ** m, m)
     # ramp-up padding count
     assert int(acr.pad_mask_for(40, 5).sum()) == 5 * 4 // 2
     # belief normalization on a random instance

@@ -13,7 +13,7 @@ P = SystemParams()
 def _noiseless_received(a, th):
     """Transmit symbols a through the identity channel, no noise, no filter."""
     d = txchain.differential_modulate(np.asarray(a))
-    sig = waveform.transmit(d, P, th)
+    sig = waveform.transmit(d, P, th, ChannelRealization([0.0], [1.0]))
     # leave headroom for the last capture window
     tail = np.zeros(P.to_samples(P.T_g) + P.to_samples(P.T_f))
     return waveform.SampledSignal(np.concatenate([sig.samples, tail]), P.f_sim)
@@ -103,12 +103,15 @@ def test_generate_blocks_requires_divisible_length():
 
 
 def test_despread_single_frame_is_identity():
+    # with one frame and chip 0, window i is the raw slice at i*T_s
     p1 = SystemParams(N_f=1)
     th = waveform.ThCode(np.array([0]))
     rng = np.random.default_rng(4)
     r = waveform.SampledSignal(rng.normal(size=10000), p1.f_sim)
-    y = acr.despread(r, th, p1)
-    assert np.array_equal(y.samples, r.samples)
+    win = acr.despread_windows(r, th, p1, 2)
+    step, G = p1.to_samples(p1.T_s), p1.to_samples(p1.T_g)
+    for i in range(2):
+        assert np.array_equal(win[i], r.samples[i * step:i * step + G])
 
 
 def test_despread_coherent_sum_over_frames():
@@ -136,7 +139,7 @@ def test_despread_rejects_short_signal():
     th = waveform.ThCode(np.zeros(P.N_f, dtype=int))
     r = waveform.SampledSignal(np.zeros(100), P.f_sim)
     with pytest.raises(ValueError):
-        acr.despread(r, th, P)
+        acr.despread_windows(r, th, P, 1)
 
 
 def test_sample_overlapping_noiseless_all_plus_one():
@@ -205,13 +208,3 @@ def test_estimate_eg_rejects_other_types():
     with pytest.raises(TypeError):
         acr.estimate_Eg(np.zeros((4, 2)), P.N_f)
 
-
-def test_corr_csv_round_trip(tmp_path):
-    a = np.array([1, -1, 1, 1, -1])
-    model = acr.NoiseModel(P.N_f, 1.0, 0.1, P.W, P.T_g)
-    s = acr.generate_discrete(a, 3, model, np.random.default_rng(12))
-    path = tmp_path / "corr.csv"
-    acr.export_corr_csv(s, path)
-    back = acr.import_corr_csv(path)
-    assert np.allclose(back.values, s.values, atol=1e-12)
-    assert np.array_equal(back.pad_mask, s.pad_mask)

@@ -20,7 +20,7 @@ def test_fixed_seed_reproduces_tap_list():
 def test_all_delays_within_capture_window():
     for seed in range(20):
         ch = chmod.generate_cm2(P, np.random.default_rng(seed))
-        assert ch.n_taps >= 1
+        assert len(ch.delays) >= 1
         assert np.all(ch.delays <= P.T_g)
         assert np.all(ch.delays >= 0.0)
 
@@ -79,16 +79,6 @@ def test_effective_energy_uses_filtered_pulse():
     # and filter ringing ahead of t=0 falls outside the capture window
     assert 0.06 < eff < 0.09
     assert eff < chmod.captured_energy(ch, P)
-
-
-def test_tap_csv_round_trip(tmp_path):
-    ch = chmod.generate_cm2(P, np.random.default_rng(7))
-    path = tmp_path / "taps.csv"
-    chmod.export_taps(ch, path)
-    back = chmod.import_taps(path, P)
-    assert np.allclose(back.delays, ch.delays, atol=1e-15)
-    assert np.allclose(back.gains, ch.gains, atol=1e-12)
-    assert back.E_g == pytest.approx(ch.E_g, rel=1e-6)
 
 
 def test_realization_field_validation():

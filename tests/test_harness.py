@@ -51,6 +51,20 @@ def test_default_configs_validate():
     dict(trace_packets=0),      # trace rows were NaN
     # a window longer than the packet raised a raw ValueError
     dict(schemes=("mmsdd",), m_list=(5,), n_symbols=3),
+    # raised KeyError, IndexError or ValueError instead of a ConfigError
+    dict(test_case=4, m_list=(2,), schemes=("joint-mmsdd",),
+         trace_schemes=("foo",)),
+    dict(test_case=4, m_list=(2,), schemes=("joint-mmsdd",), eg_modes=(),
+         trace_snr_db=(13.0,)),
+    dict(test_case=2, schemes=("estimate",), m_list=()),
+    dict(test_case=1, path="waveform", schemes=("noise",), m_list=(),
+         n_symbols=2),
+    # ran, but wrote mislabelled or empty results
+    dict(test_case=4, m_list=(2,), schemes=("dd",)),
+    dict(schemes=("joint-mmsdd",)),
+    dict(schemes=("mmsdd",), eg_modes=()),
+    dict(schemes=()),
+    dict(test_case=4, m_list=(2,), schemes=()),
 ])
 def test_validate_rejects_bad_fields(patch):
     cfg = replace(default_config(3), **patch)

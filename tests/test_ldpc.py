@@ -257,13 +257,3 @@ def test_posterior_is_channel_plus_extrinsic(small):
     assert np.allclose(res.posterior_llr, llr + res.extrinsic_llr,
                        rtol=1e-12, atol=1e-12)
 
-
-# ---------------------------------------------------------------------------
-# persistence
-
-
-def test_alist_round_trip(tmp_path, small):
-    path = tmp_path / "code.alist"
-    ldpc.export_alist(small, path)
-    H = ldpc.import_alist(path)
-    assert np.array_equal(H, small.H)

@@ -30,32 +30,30 @@ def _instance(seed, n=8, m=3, E_g=1.0, N0=0.08, uniform_priors=False):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
 def test_trellis_state_and_transition_counts(m):
-    tr = msdd.build_trellis(m)
-    assert tr.n_states == 2 ** m
-    trans = tr.transitions()
-    assert len(trans) == 2 ** (m + 1)
-    # exactly two outgoing transitions per state, all valid under the shift rule
-    for s_prev, a, s_next in trans:
-        assert tr.is_valid_transition(s_prev, a, s_next)
-        prev_syms = tr.state_symbols(s_prev)
-        next_syms = tr.state_symbols(s_next)
-        assert next_syms[0] == a
-        assert np.array_equal(next_syms[1:], prev_syms[:-1])
+    signs = msdd._state_signs(m)
+    assert signs.shape == (2 ** m, m)
+    assert len({tuple(row) for row in signs}) == 2 ** m
+    # shifting symbol bit b into state s lands on (2s + b) mod 2^M, whose
+    # run products are the new symbol times 1 and the M-1 newest of s
+    for s_prev in range(2 ** m):
+        for b in (0, 1):
+            want = (1 - 2 * b) * np.concatenate([[1.0], signs[s_prev, :-1]])
+            assert np.array_equal(signs[(2 * s_prev + b) % 2 ** m], want)
 
 
 def test_trellis_rejects_oversized_window():
     with pytest.raises(ValueError):
-        msdd.TrellisSpec(msdd.MAX_WINDOW + 1)
+        msdd._state_signs(msdd.MAX_WINDOW + 1)
     with pytest.raises(ValueError):
-        msdd.TrellisSpec(0)
+        msdd._state_signs(0)
 
 
 def test_trellis_signs_are_newest_run_products():
-    tr = msdd.build_trellis(3)
-    for s in range(tr.n_states):
-        syms = tr.state_symbols(s)
+    signs = msdd._state_signs(3)
+    for s in range(8):
+        syms = 1 - 2 * ((s >> np.arange(3)) & 1)   # bit k set: a_{i-k} = -1
         for m in range(1, 4):
-            assert tr.signs[s, m - 1] == np.prod(syms[:m])
+            assert signs[s, m - 1] == np.prod(syms[:m])
 
 
 # ---------------------------------------------------------------------------
@@ -64,13 +62,13 @@ def test_trellis_signs_are_newest_run_products():
 
 def _log_evidence(rows, pads, m, A, s2):
     samples = acr.CorrSamples(np.array(rows, dtype=float), np.array(pads))
-    return msdd.log_evidence_matrix(samples, msdd.build_trellis(m), A, s2)
+    return msdd.log_evidence_matrix(samples, A, s2)
 
 
 def test_evidence_peaks_at_matching_state():
-    tr = msdd.build_trellis(2)
     A, s2 = 7.0, 3.0
-    logE = _log_evidence(A * tr.signs, np.zeros((4, 2), dtype=bool), 2, A, s2)
+    logE = _log_evidence(A * msdd._state_signs(2), np.zeros((4, 2), dtype=bool),
+                         2, A, s2)
     for state in range(4):
         assert np.exp(logE[state, state]) == pytest.approx(1.0)
         assert np.argmax(logE[state]) == state
@@ -94,11 +92,10 @@ def test_evidence_ignores_padded_entries():
 
 def test_log_evidence_matrix_matches_scalar_evidence():
     a, samples, model, _ = _instance(0, n=6, m=3)
-    tr = msdd.build_trellis(3)
-    logE = msdd.log_evidence_matrix(samples, tr, model.amplitude,
+    logE = msdd.log_evidence_matrix(samples, model.amplitude,
                                     model.sigma_n_sq)
     for i in range(6):
-        for s in range(tr.n_states):
+        for s in range(8):
             want = reference.evidence(samples.values[i], samples.pad_mask[i],
                                       s, model.amplitude, model.sigma_n_sq)
             assert np.exp(logE[i, s]) == pytest.approx(want, rel=1e-9)
@@ -115,7 +112,7 @@ def test_evidence_requires_positive_variance():
 
 def _sweep_rows(samples, priors, m, A, s2):
     """Normalized alpha and beta rows of one sequence, (N+1, 2^M) each."""
-    logE = msdd.log_evidence_matrix(samples, msdd.build_trellis(m), A, s2)
+    logE = msdd.log_evidence_matrix(samples, A, s2)
     logp = msdd._log_priors(priors, samples.n_symbols)
     la, lb = msdd._sweep(logE[:, None, :], logp[:, None, :])
     lb = lb[..., np.arange(2 ** m) % 2 ** (m - 1)]
@@ -208,8 +205,7 @@ def test_batched_sweep_matches_single_sequences(seed, m, extra, b, noise,
                                                 saturate):
     n = m + extra
     samples, amps, sigmas, priors = _stack(seed, m, n, b, noise, saturate)
-    tr = msdd.build_trellis(m)
-    logE = np.stack([msdd.log_evidence_matrix(s, tr, A, v)
+    logE = np.stack([msdd.log_evidence_matrix(s, A, v)
                      for s, A, v in zip(samples, amps, sigmas)], axis=1)
     logp = np.stack([msdd._log_priors(p, n) for p in priors], axis=1)
     la, lb = msdd._sweep(logE, logp)

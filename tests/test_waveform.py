@@ -8,6 +8,7 @@ from uwbsim.channel import ChannelRealization
 from uwbsim.params import SystemParams
 
 P = SystemParams()
+UNIT_TAP = ChannelRealization(np.array([0.0]), np.array([1.0]))
 
 
 def _energy(x: np.ndarray, f_sim: float) -> float:
@@ -68,7 +69,8 @@ def test_symbol_waveform_energy_is_nf_pulse_energies():
     rng = np.random.default_rng(1)
     th = waveform.ThCode.random(P, rng)
     sig = waveform.symbol_waveform(P, th)
-    assert sig.energy() == pytest.approx(P.N_f * 1.0, rel=1e-6)
+    assert _energy(sig.samples, P.f_sim) == pytest.approx(P.N_f * 1.0,
+                                                          rel=1e-6)
 
 
 def test_thcode_validation():
@@ -81,17 +83,18 @@ def test_thcode_validation():
 def test_transmit_reference_only():
     th = waveform.ThCode(np.zeros(P.N_f, dtype=int))
     ws = waveform.symbol_waveform(P, th)
-    sig = waveform.transmit(np.array([1]), P, th)
+    sig = waveform.transmit(np.array([1]), P, th, UNIT_TAP)
     n = P.to_samples(P.T_s)
-    assert len(sig.samples) == n
-    assert np.allclose(sig.samples, ws.samples[:n])
+    assert len(sig.samples) >= n
+    assert np.allclose(sig.samples[:n], ws.samples)
+    assert np.all(sig.samples[n:] == 0.0)
 
 
 def test_transmit_all_plus_one_is_periodic():
     rng = np.random.default_rng(2)
     th = waveform.ThCode.random(P, rng)
     d = np.ones(4, dtype=int)
-    sig = waveform.transmit(d, P, th)
+    sig = waveform.transmit(d, P, th, UNIT_TAP)
     n = P.to_samples(P.T_s)
     first = sig.samples[:n]
     for i in range(1, 4):
@@ -103,7 +106,7 @@ def test_transmit_segment_signs_match_symbols():
     th = waveform.ThCode.random(P, rng)
     a = np.array([-1, 1, -1, -1, 1])
     d = txchain.differential_modulate(a)
-    sig = waveform.transmit(d, P, th)
+    sig = waveform.transmit(d, P, th, UNIT_TAP)
     ws = waveform.symbol_waveform(P, th)
     n = P.to_samples(P.T_s)
     for i, di in enumerate(d):
@@ -116,8 +119,32 @@ def test_transmit_energy_accounting():
     rng = np.random.default_rng(4)
     th = waveform.ThCode.random(P, rng)
     d = txchain.differential_modulate(np.array([1, -1, 1]))
-    sig = waveform.transmit(d, P, th)
-    assert sig.energy() == pytest.approx(len(d) * P.N_f * 1.0, rel=1e-6)
+    sig = waveform.transmit(d, P, th, UNIT_TAP)
+    assert _energy(sig.samples, P.f_sim) == pytest.approx(
+        len(d) * P.N_f * 1.0, rel=1e-6)
+
+
+def test_transmit_through_channel_equals_channel_of_transmit():
+    # the channel is linear and time-invariant, so rendering it once into
+    # the symbol template equals passing the whole pulse train through it
+    rng = np.random.default_rng(10)
+    th = waveform.ThCode.random(P, rng)
+    d = txchain.differential_modulate(np.array([1, -1, -1, 1]))
+    ch = ChannelRealization(np.array([0.0, 3e-9, 40e-9]),
+                            np.array([0.7, -0.4, 0.2]))
+    got = waveform.transmit(d, P, th, ch).samples
+    want = waveform.apply_channel(waveform.transmit(d, P, th, UNIT_TAP),
+                                  ch, P).samples
+    n = min(len(got), len(want))
+    assert np.allclose(got[:n], want[:n], atol=1e-12)
+    assert np.all(got[n:] == 0.0) and np.all(want[n:] == 0.0)
+
+
+def test_transmit_rejects_non_antipodal_symbols():
+    th = waveform.ThCode(np.zeros(P.N_f, dtype=int))
+    for bad in (np.array([]), np.array([1, 0]), np.ones((2, 2))):
+        with pytest.raises(ValueError):
+            waveform.transmit(bad, P, th, UNIT_TAP)
 
 
 def test_apply_channel_identity_tap():

@@ -39,6 +39,16 @@ CASES = {
                           schemes=("joint-mmsdd", "joint-bmsdd"),
                           max_bits=800, trace_snr_db=(13.0,),
                           trace_packets=1)),
+    # several packets per point: 12.0 dB stops on the error target after
+    # two packets, 12.4 dB (M-MSDD) and 13.6 dB on the bit budget after four;
+    # traces of both detectors over three packets
+    "tc4_multi": (4, dict(snr_db=(12.0, 12.4, 13.6), m_list=(2,),
+                          schemes=("joint-mmsdd", "joint-bmsdd"),
+                          eg_modes=("perfect", "estimated"),
+                          target_errors=200, max_bits=3200,
+                          trace_snr_db=(12.4,),
+                          trace_schemes=("joint-mmsdd", "joint-bmsdd"),
+                          trace_packets=3)),
 }
 
 

@@ -13,9 +13,11 @@ E_g = 1; the waveform path computes the per-realization captured energy of
 the band-limited received pulse and maps SNR through it.
 
 Both BER campaigns share one stopping-rule driver.  It advances the points
-of one (scheme, M) in lockstep rounds, so one M-MSDD sweep serves a round,
-and takes from each point only packets its sequential rule is certain to
-reach, so packet counts and streams equal a point-by-point loop's.
+of one (scheme, M) in lockstep rounds, so one M-MSDD sweep serves a round
+(in the joint receiver, one per outer iteration), and takes from each point
+only packets its sequential rule is certain to reach, so packet counts and
+streams equal a point-by-point loop's.  Convergence traces decode their
+packets in rounds of the same size.
 """
 
 import csv
@@ -41,8 +43,9 @@ _SCHEME_IDS = {
     "noise": 5, "estimate": 6, "channel": 7,
 }
 _EG_IDS = {"perfect": 0, "estimated": 1}
-# the detectors each BER campaign runs
-_BER_SCHEMES = {3: {"dd", "bmsdd", "mmsdd"}, 4: {"joint-mmsdd", "joint-bmsdd"}}
+# the schemes each campaign runs
+_RUN_SCHEMES = {1: {"noise"}, 2: {"estimate"}, 3: {"dd", "bmsdd", "mmsdd"},
+                4: {"joint-mmsdd", "joint-bmsdd"}}
 # trace runs use point indices offset by this so they never share a stream
 # with the BER sweep of the same test case
 _TRACE_POINT_BASE = 1000
@@ -94,13 +97,19 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown scheme {s!r}")
         if not self.eg_modes or not self.m_list:
             raise ConfigError("eg_modes and m_list must be non-empty")
-        allowed = _BER_SCHEMES.get(self.test_case)
+        allowed = _RUN_SCHEMES[self.test_case]
         named = set(self.schemes)
         if self.test_case == 4:
             named |= set(self.trace_schemes)
-        if allowed and not (self.schemes and named <= allowed):
+        if not (self.schemes and named <= allowed):
             raise ConfigError(f"test case {self.test_case} runs schemes from "
                               f"{sorted(allowed)}; got {sorted(named) or 'none'}")
+        # test cases 1 and 2 know the energy and sample one window size
+        if self.test_case in (1, 2) and set(self.eg_modes) != {"perfect"}:
+            raise ConfigError(f"test case {self.test_case} runs only the "
+                              "perfect E_g mode")
+        if self.test_case == 1 and len(self.m_list) > 1:
+            raise ConfigError("test case 1 samples one window size M")
         if self.test_case == 1 and self.path != "waveform":
             raise ConfigError("test case 1 requires the waveform path")
         if self.test_case in (2, 4) and self.path != "discrete":
@@ -506,6 +515,27 @@ def _ber_points(cfg, points, n_bits, cap, make_packet, detect) -> list:
             for (_, scheme, m, eg, snr), b, e in zip(points, bits, errors)]
 
 
+def _round_cap(n_symbols: int, m: int) -> int:
+    """Packets per round that keep a sweep within BATCH_ELEMENTS."""
+    return max(1, BATCH_ELEMENTS // (n_symbols << m))
+
+
+def _grouped_points(cfg, combos, group_points) -> list:
+    """BerPoints of every (scheme, M, E_g mode) combo at every SNR, in CSV
+    order (SNR, then combo).  group_points(scheme, m, keys) runs the points
+    of one (scheme, M), across SNR and E_g mode, and returns their BerPoints
+    in key order."""
+    by_point = {}
+    for (scheme, m), group in groupby(combos, key=lambda c: c[:2]):
+        egs = [eg for _, _, eg in group]
+        keys = [(p_idx, scheme, m, eg, snr)
+                for p_idx, snr in enumerate(cfg.snr_db) for eg in egs]
+        by_point.update(zip(keys, group_points(scheme, m, keys)))
+    return [by_point[p_idx, scheme, m, eg, snr]
+            for p_idx, snr in enumerate(cfg.snr_db)
+            for scheme, m, eg in combos]
+
+
 # ---------------------------------------------------------------------------
 # test case 3: uncoded BER sweeps
 
@@ -548,18 +578,15 @@ def _detect_uncoded(scheme, m, variance_factor, packets):
     return [detect(s) for s, _ in packets]
 
 
-def _uncoded_points(cfg, params, scheme, m, eg_modes) -> dict:
-    """BerPoints of one (scheme, M) over the SNR grid and `eg_modes`, keyed
-    by point; a round's M-MSDD packets share one sweep."""
+def _uncoded_points(cfg, params, scheme, m, keys) -> list:
+    """BerPoints of one (scheme, M) at `keys`; a round's M-MSDD packets
+    share one sweep."""
     n_use = cfg.n_symbols if scheme != "bmsdd" else m * (cfg.n_symbols // m)
     if n_use <= 0:  # a packet of no bits would never end the point
         raise ConfigError(f"{scheme} M={m} packets carry no bits")
-    keys = [(p_idx, scheme, m, eg, snr)
-            for p_idx, snr in enumerate(cfg.snr_db) for eg in eg_modes]
-    return dict(zip(keys, _ber_points(
-        cfg, keys, n_use, max(1, BATCH_ELEMENTS // (n_use << m)),
-        partial(_uncoded_packet, cfg, params, n_use),
-        partial(_detect_uncoded, scheme, m, cfg.variance_factor))))
+    return _ber_points(cfg, keys, n_use, _round_cap(n_use, m),
+                       partial(_uncoded_packet, cfg, params, n_use),
+                       partial(_detect_uncoded, scheme, m, cfg.variance_factor))
 
 
 def _tc3_combos(cfg) -> list:
@@ -577,15 +604,8 @@ def _tc3_combos(cfg) -> list:
 def run_testcase3(cfg: ExperimentConfig, out_dir=None) -> list[BerPoint]:
     """Uncoded BER of DD, hard block detection, and sliding-window MSDD."""
     cfg.validate()
-    params = SystemParams()
-    combos = _tc3_combos(cfg)
-    by_point = {}
-    for (scheme, m), group in groupby(combos, key=lambda c: c[:2]):
-        egs = [eg for _, _, eg in group]
-        by_point.update(_uncoded_points(cfg, params, scheme, m, egs))
-    points = [by_point[p_idx, scheme, m, eg, snr]
-              for p_idx, snr in enumerate(cfg.snr_db)
-              for scheme, m, eg in combos]
+    points = _grouped_points(cfg, _tc3_combos(cfg),
+                             partial(_uncoded_points, cfg, SystemParams()))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         _write_csv(os.path.join(out_dir, "tc3_ber.csv"), _BER_HEADER,
@@ -596,9 +616,9 @@ def run_testcase3(cfg: ExperimentConfig, out_dir=None) -> list[BerPoint]:
 # ---------------------------------------------------------------------------
 # test case 4: joint detection and decoding
 
-def _coded_packet(cfg, params, code, point, pkt, early_exit=True,
-                  want_trace=False):
-    """(info bits, JointResult) of one packet through the joint receiver."""
+def _coded_packet(cfg, params, code, point, pkt):
+    """(info bits, (samples, interleaver, detector model, codeword)) of one
+    coded packet."""
     p_idx, scheme, m, eg_mode, snr = point
     rng = _packet_rng(cfg.seed, cfg.test_case, p_idx, scheme, m, eg_mode, pkt)
     N0 = n0_for_snr(snr, 1.0, code.rate, params)
@@ -614,13 +634,27 @@ def _coded_packet(cfg, params, code, point, pkt, early_exit=True,
     if eg_mode == "estimated":
         eh = acr.estimate_Eg(samples, params.N_f)
         model = acr.NoiseModel(params.N_f, eh, N0, params.W, params.T_g)
-    res = jointmod.run_joint(samples, code, imap, model,
-                             outer_iters=cfg.outer_iters,
-                             inner_iters=cfg.inner_iters,
-                             variance_factor=cfg.variance_factor,
-                             early_exit=early_exit,
-                             true_coded_bits=cw if want_trace else None)
-    return info, res
+    return info, (samples, imap, model, cw)
+
+
+def _decode_round(cfg, code, packets, trace=False):
+    """JointResult of one round of packets from _coded_packet; a trace
+    round runs every outer iteration and scores it against the codewords."""
+    samples, imaps, models, cws = zip(*packets)
+    return jointmod.run_joint(samples, code, imaps, models,
+                              outer_iters=cfg.outer_iters,
+                              inner_iters=cfg.inner_iters,
+                              variance_factor=cfg.variance_factor,
+                              early_exit=not trace,
+                              true_coded_bits=cws if trace else None)
+
+
+def _coded_points(cfg, params, code, scheme, m, keys) -> list:
+    """BerPoints of one (scheme, M) at `keys`, each round decoded together."""
+    return _ber_points(cfg, keys, code.k, _round_cap(code.n, m),
+                       partial(_coded_packet, cfg, params, code),
+                       lambda packets: _decode_round(cfg, code,
+                                                     packets).info_bits)
 
 
 def _trace_point(cfg, params, code, t_idx, scheme, m, eg_mode, snr):
@@ -629,13 +663,17 @@ def _trace_point(cfg, params, code, t_idx, scheme, m, eg_mode, snr):
     acc_chk = np.zeros(cfg.outer_iters)
     n_checks = code.H.shape[0]
     point = (_TRACE_POINT_BASE + t_idx, scheme, m, eg_mode, snr)
-    for pkt in range(cfg.trace_packets):
-        _, res = _coded_packet(cfg, params, code, point, pkt,
-                               early_exit=False, want_trace=True)
-        for rec in res.trace:
-            acc_det[rec.iteration - 1] += rec.p_c_msdd
-            acc_dec[rec.iteration - 1] += rec.p_c_dec
-            acc_chk[rec.iteration - 1] += rec.checks_satisfied / n_checks
+    cap = _round_cap(code.n, m)
+    for first in range(0, cfg.trace_packets, cap):
+        packets = [_coded_packet(cfg, params, code, point, pkt)[1]
+                   for pkt in range(first, min(first + cap, cfg.trace_packets))]
+        res = _decode_round(cfg, code, packets, trace=True)
+        # packet by packet, so the sums add in packet order
+        for trace in res.trace:
+            for rec in trace:
+                acc_det[rec.iteration - 1] += rec.p_c_msdd
+                acc_dec[rec.iteration - 1] += rec.p_c_dec
+                acc_chk[rec.iteration - 1] += rec.checks_satisfied / n_checks
     out = []
     for t in range(cfg.outer_iters):
         out.append(TracePoint(scheme, m, eg_mode, snr, t + 1,
@@ -654,13 +692,10 @@ def run_testcase4(cfg: ExperimentConfig, out_dir=None):
     cfg.validate()
     params = SystemParams()
     code = ldpc.default_code(cfg.k_info, cfg.n_coded, cfg.code_seed)
-    keys = [(p_idx, scheme, int(m), eg, snr)
-            for p_idx, snr in enumerate(cfg.snr_db) for scheme in cfg.schemes
-            for m in cfg.m_list for eg in cfg.eg_modes]
-    # the joint receiver decodes as it makes each packet: one per round
-    points = _ber_points(cfg, keys, code.k, 1,
-                         partial(_coded_packet, cfg, params, code),
-                         lambda done: [res.info_bits for res in done])
+    combos = [(scheme, int(m), eg) for scheme in cfg.schemes
+              for m in cfg.m_list for eg in cfg.eg_modes]
+    points = _grouped_points(cfg, combos,
+                             partial(_coded_points, cfg, params, code))
     traces = []
     t_idx = 0
     for snr in cfg.trace_snr_db:

@@ -1,4 +1,4 @@
-"""Serial joint detection and decoding.
+"""Serial joint detection and decoding of a round of packets.
 
 One outer iteration: the SISO detector (sliding-window or block) recomputes
 its extrinsic gamma using the decoder extrinsics zeta as symbol priors, the
@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import beliefs, ldpc
-from .acr import BlockCorrSamples, CorrSamples, NoiseModel
+from .acr import BlockCorrSamples, CorrSamples
 from .msdd import bmsdd_extrinsic, msdd_app
-from .txchain import InterleaverMap, deinterleave, interleave
+from .txchain import deinterleave, interleave
 
 
 @dataclass
@@ -30,73 +30,91 @@ class IterationTrace:
 
 @dataclass
 class JointResult:
+    """One round of packets.
+
+    info_bits (B, K) and coded_bits (B, N) are the decoded packets and
+    trace[j] holds one record per outer iteration packet j ran.
+    n_outer_run is the iterations the round ran and converged whether every
+    packet ended with its checks satisfied.
+    """
     info_bits: np.ndarray
     coded_bits: np.ndarray
+    trace: list
     n_outer_run: int
     converged: bool
-    trace: list
 
 
-def _detector_extrinsic(samples, priors_sym: np.ndarray, model: NoiseModel,
-                        variance_factor: int) -> np.ndarray:
-    if isinstance(samples, CorrSamples):
-        _, gamma = msdd_app(samples, samples.window, model.amplitude,
-                            model.sigma_n_sq, priors=priors_sym,
+def _detector_extrinsics(samples, priors, models, variance_factor):
+    """Detector extrinsic gamma of each packet, symbol order."""
+    if isinstance(samples[0], CorrSamples):
+        _, gamma = msdd_app(samples, samples[0].window,
+                            [d.amplitude for d in models],
+                            [d.sigma_n_sq for d in models], priors=priors,
                             variance_factor=variance_factor)
         return gamma
-    return bmsdd_extrinsic(samples, priors_sym, model.amplitude,
-                           model.sigma_n_sq, variance_factor)
+    return [bmsdd_extrinsic(s, p, d.amplitude, d.sigma_n_sq, variance_factor)
+            for s, p, d in zip(samples, priors, models)]
 
 
-def run_joint(samples, code: ldpc.LdpcCode, imap: InterleaverMap,
-              model: NoiseModel, outer_iters: int = 10,
-              inner_iters: int = 10, variance_factor: int = 1,
-              early_exit: bool = True, true_coded_bits=None) -> JointResult:
-    """Run the serial schedule and decode one packet.
+def run_joint(samples, code: ldpc.LdpcCode, imaps, models,
+              outer_iters: int = 10, inner_iters: int = 10,
+              variance_factor: int = 1, early_exit: bool = True,
+              true_coded_bits=None) -> JointResult:
+    """Run the serial schedule on a round of packets and decode each.
 
-    The samples pick the detector: CorrSamples run the sliding-window
-    detector, BlockCorrSamples the block detector.  true_coded_bits
-    (codeword order, 0/1) is a simulator-side oracle used only to fill the
-    trace; it never influences any message.
+    samples, imaps and models hold one entry per packet.  The samples pick
+    the detector: CorrSamples run the sliding-window detector, one sweep
+    per outer iteration for every packet still running, BlockCorrSamples
+    the block detector.  With early_exit a packet leaves the round once
+    its checks are satisfied.  true_coded_bits (one codeword-order 0/1
+    array per packet) is a simulator-side oracle used only to fill the
+    traces; it never influences any message.
     """
     if outer_iters < 1:
         raise ValueError("outer_iters must be >= 1")
-    if not isinstance(samples, (CorrSamples, BlockCorrSamples)):
-        raise TypeError("samples must be CorrSamples or BlockCorrSamples")
-    if samples.n_symbols != code.n:
-        raise ValueError(f"got {samples.n_symbols} symbols for a "
+    if {type(s) for s in samples} not in ({CorrSamples}, {BlockCorrSamples}):
+        raise TypeError("a round needs packets, all CorrSamples or all "
+                        "BlockCorrSamples")
+    if not len(imaps) == len(models) == len(samples):
+        raise ValueError("need one interleaver and one model per packet")
+    if any(s.n_symbols != code.n for s in samples) or any(
+            len(imap.perm) != code.n for imap in imaps):
+        raise ValueError(f"packets and interleavers must span the "
                          f"length-{code.n} code")
-    if len(imap.perm) != code.n:
-        raise ValueError("interleaver length must equal codeword length")
     n_checks = code.H.shape[0]
 
-    zeta = beliefs.uniform(code.n)   # codeword order
-    trace = []
-    res = None
-    n_outer_run = 0
-    for t in range(1, outer_iters + 1):
-        priors_sym = interleave(zeta, imap)
-        gamma_sym = _detector_extrinsic(samples, priors_sym, model,
-                                        variance_factor)
-        gamma_code = deinterleave(gamma_sym, imap)
-        res = ldpc.decode(code, beliefs.to_llr(gamma_code),
-                          max_iter=inner_iters, early_stop=True)
-        zeta = beliefs.from_llr(res.extrinsic_llr)
-        n_outer_run = t
-        if true_coded_bits is not None:
-            truth = np.asarray(true_coded_bits)
-            det_bits = beliefs.hard_bits(gamma_code)
-            dec_bits = (res.extrinsic_llr < 0).astype(np.uint8)
-            p_det = float(np.mean(det_bits == truth))
-            p_dec = float(np.mean(dec_bits == truth))
-        else:
-            p_det = p_dec = float("nan")
-        trace.append(IterationTrace(iteration=t, p_c_msdd=p_det, p_c_dec=p_dec,
-                                    checks_satisfied=n_checks - res.n_unsatisfied))
-        if early_exit and res.checks_satisfied:
-            break
+    B = len(samples)
+    zeta = [beliefs.uniform(code.n)] * B   # codeword order
+    trace = [[] for _ in range(B)]
+    res = [None] * B
+    live = list(range(B))
+    t = 0
+    while live and t < outer_iters:
+        t += 1
+        priors_sym = [interleave(zeta[j], imaps[j]) for j in live]
+        gammas = _detector_extrinsics([samples[j] for j in live], priors_sym,
+                                      [models[j] for j in live],
+                                      variance_factor)
+        for j, gamma_sym in zip(live, gammas):
+            gamma_code = deinterleave(gamma_sym, imaps[j])
+            res[j] = ldpc.decode(code, beliefs.to_llr(gamma_code),
+                                 max_iter=inner_iters, early_stop=True)
+            zeta[j] = beliefs.from_llr(res[j].extrinsic_llr)
+            if true_coded_bits is not None:
+                truth = np.asarray(true_coded_bits[j])
+                det_bits = beliefs.hard_bits(gamma_code)
+                dec_bits = (res[j].extrinsic_llr < 0).astype(np.uint8)
+                p_det = float(np.mean(det_bits == truth))
+                p_dec = float(np.mean(dec_bits == truth))
+            else:
+                p_det = p_dec = float("nan")
+            trace[j].append(IterationTrace(
+                iteration=t, p_c_msdd=p_det, p_c_dec=p_dec,
+                checks_satisfied=n_checks - res[j].n_unsatisfied))
+        if early_exit:
+            live = [j for j in live if not res[j].checks_satisfied]
 
-    hard = res.hard_bits
+    hard = np.stack([r.hard_bits for r in res])
     return JointResult(info_bits=ldpc.extract_info(code, hard),
-                       coded_bits=hard, n_outer_run=n_outer_run,
-                       converged=bool(res.checks_satisfied), trace=trace)
+                       coded_bits=hard, trace=trace, n_outer_run=t,
+                       converged=all(r.checks_satisfied for r in res))

@@ -26,7 +26,9 @@ class LdpcCode:
     H: np.ndarray                 # (N-K, N) uint8 parity-check matrix
     info_positions: np.ndarray    # (K,) ascending codeword indices of info bits
     parity_positions: np.ndarray  # (N-K,) pivot columns, row-aligned with B
-    B: np.ndarray                 # (N-K, K) uint8: parity = B @ info mod 2
+    # (N-K, ceil(K/8)) uint8: the rows of B (parity = B @ info mod 2)
+    # packed by np.packbits, so encode's parity is a popcount per row
+    B_packed: np.ndarray
     seed: int
     # edge tables for the flooding decoder, derived in __post_init__
     _edges: dict = field(default_factory=dict, compare=False, repr=False)
@@ -47,8 +49,6 @@ class LdpcCode:
         self._edges["c2v_scatter"] = pos_in_var[by_check]
         self._edges["row_w"] = int(row_w[0])
         self._edges["col_w"] = int(col_w[0])
-        # B's rows as bytes, so encode's parity is a popcount per row
-        self._edges["B_packed"] = np.packbits(self.B, axis=1)
 
     @property
     def n(self) -> int:
@@ -146,9 +146,9 @@ def construct_regular(k: int = 800, n: int = 1600, seed: int = 1,
         if pivots.size != n_rows:
             continue
         free = np.setdiff1d(np.arange(n), pivots)
-        B = rref[:, free].astype(np.uint8)
         return LdpcCode(H=H, info_positions=free, parity_positions=pivots,
-                        B=B, seed=seed)
+                        B_packed=np.packbits(rref[:, free], axis=1),
+                        seed=seed)
     raise RuntimeError("could not construct a full-rank 4-cycle-free code")
 
 
@@ -168,7 +168,7 @@ def encode(code: LdpcCode, info_bits: np.ndarray) -> np.ndarray:
     info = np.asarray(info_bits, dtype=np.int64) & 1
     if info.shape != (code.k,):
         raise ValueError(f"expected {code.k} info bits")
-    both = code._edges["B_packed"] & np.packbits(info)
+    both = code.B_packed & np.packbits(info)
     parity = np.bitwise_count(both).sum(axis=1) & 1
     c = np.zeros(code.n, dtype=np.uint8)
     c[code.info_positions] = info
@@ -177,7 +177,8 @@ def encode(code: LdpcCode, info_bits: np.ndarray) -> np.ndarray:
 
 
 def extract_info(code: LdpcCode, codeword_bits: np.ndarray) -> np.ndarray:
-    return np.asarray(codeword_bits)[code.info_positions]
+    """Info bits of one codeword (N,) or of a stack of them (..., N)."""
+    return np.asarray(codeword_bits)[..., code.info_positions]
 
 
 def check(code: LdpcCode, codeword_bits: np.ndarray) -> bool:

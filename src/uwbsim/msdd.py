@@ -126,40 +126,32 @@ def _merge_log(la: np.ndarray, lb: np.ndarray, logE: np.ndarray) -> np.ndarray:
 
     Shifting bit b into state s lands on 2*(s mod 2^(M-1)) + b, so the
     destination term for every source state is a broadcast of the even
-    (b = 0) or odd (b = 1) half of the destination row.
+    (b = 0) or odd (b = 1) half of the destination row.  A contiguous logE
+    is overwritten with that destination term.
     """
     N, B, S = logE.shape
     # indexed by destination state, rows i = 1..N
-    post = (lb[1:, :, None, :] + logE.reshape(N, B, 2, S >> 1)).reshape(N, B, S)
+    post = logE.reshape(N, B, 2, S >> 1)
+    np.add(post, lb[1:, :, None, :], out=post)
+    post = post.reshape(N, B, S)
     prev = la[:-1].reshape(N, B, 2, S >> 1)   # source states, rows i-1
-    return np.stack([_row_logsumexp((prev + post[:, :, None, b::2])
-                                    .reshape(N, B, S)) for b in (0, 1)],
-                    axis=-1)
+    term = np.empty((N, B, 2, S >> 1))
+    lg = np.empty((N, B, 2))
+    for b in (0, 1):
+        np.add(prev, post[:, :, None, b::2], out=term)
+        lg[..., b] = _row_logsumexp(term.reshape(N, B, S))
+    return lg
 
 
-def msdd_app(samples: CorrSamples, M: int, amplitude: float, sigma_sq: float,
-             priors=None, variance_factor: int = 1
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """Full sliding-window detection pipeline; returns (app, gamma)."""
-    if samples.window != M:
-        raise ValueError("sample window does not match M")
-    logE = log_evidence_matrix(samples, amplitude, sigma_sq,
-                               variance_factor)[:, None, :]
-    logp = _log_priors(priors, samples.n_symbols)[:, None, :]
-    lg = _merge_log(*_sweep(logE, logp), logE)
-    gamma = beliefs.from_log(lg[:, 0])
-    app = beliefs.from_log((lg + logp)[:, 0])
-    return app, gamma
-
-
-def detect_mmsdd(samples, M: int, amplitude, sigma_sq,
-                 variance_factor: int = 1) -> np.ndarray:
-    """Hard sliding-window decisions under uniform priors, (B, N).
+def msdd_app(samples, M: int, amplitude, sigma_sq, priors=None,
+             variance_factor: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Sliding-window detection of a stack of packets; returns (app, gamma).
 
     samples is a sequence of B equal-length CorrSamples; amplitude and
-    sigma_sq give each packet's detector statistics (scalars broadcast).
-    One sweep serves the whole stack, so callers keep B * N * 2^M within
-    BATCH_ELEMENTS.
+    sigma_sq give each packet's detector statistics (scalars broadcast),
+    and priors is None (uniform) or one (N, 2) belief per packet.  app and
+    gamma are (B, N, 2).  One sweep serves the whole stack, so callers keep
+    B * N * 2^M within BATCH_ELEMENTS.
     """
     if any(s.window != M for s in samples):
         raise ValueError("sample window does not match M")
@@ -168,9 +160,25 @@ def detect_mmsdd(samples, M: int, amplitude, sigma_sq,
     sigma_sq = np.broadcast_to(sigma_sq, B)
     logE = np.stack([log_evidence_matrix(s, a, v, variance_factor)
                      for s, a, v in zip(samples, amplitude, sigma_sq)], axis=1)
-    logp = np.full(logE.shape[:2] + (2,), np.log(0.5))
+    N = logE.shape[0]
+    if priors is None:
+        priors = [None] * B
+    elif len(priors) != B:
+        raise ValueError("need one prior belief per packet")
+    logp = np.stack([_log_priors(p, N) for p in priors], axis=1)
     lg = _merge_log(*_sweep(logE, logp), logE)
-    return beliefs.hard(beliefs.from_log(lg + logp)).T
+    gamma = beliefs.from_log(lg)
+    app = beliefs.from_log(np.add(lg, logp, out=lg))
+    return app.transpose(1, 0, 2), gamma.transpose(1, 0, 2)
+
+
+def detect_mmsdd(samples, M: int, amplitude, sigma_sq,
+                 variance_factor: int = 1) -> np.ndarray:
+    """Hard sliding-window decisions under uniform priors, (B, N), for a
+    stack of packets as msdd_app takes them."""
+    app, _ = msdd_app(samples, M, amplitude, sigma_sq,
+                      variance_factor=variance_factor)
+    return beliefs.hard(app)
 
 
 def detect_dd(samples: CorrSamples) -> np.ndarray:

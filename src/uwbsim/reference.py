@@ -183,7 +183,8 @@ def run_oracle_check(n_instances: int = 200, seed: int = 0) -> dict:
     worst_app = 0.0
     for _ in range(n_instances):
         samples, M, model, priors = _random_app_instance(rng)
-        app, _ = msdd_app(samples, M, model.amplitude, model.sigma_n_sq, priors)
+        (app,), _ = msdd_app([samples], M, model.amplitude,
+                             model.sigma_n_sq, [priors])
         ref = app_marginals_bruteforce(samples, M, model.amplitude,
                                        model.sigma_n_sq, priors)
         rel = np.abs(app - ref) / np.maximum(ref, _TINY)

@@ -190,9 +190,10 @@ def test_criterion_9_structural_invariants(tmp_path):
     a = 1 - 2 * rng.integers(0, 2, 12)
     model = acr.NoiseModel(10, 1.0, 0.5, 2e9, 100e-9)
     samples = acr.generate_discrete(a, 3, model, rng)
-    app, gamma = msdd.msdd_app(samples, 3, model.amplitude, model.sigma_n_sq)
-    assert np.allclose(app.sum(axis=1), 1.0, atol=1e-12)
-    assert np.allclose(gamma.sum(axis=1), 1.0, atol=1e-12)
+    app, gamma = msdd.msdd_app([samples], 3, model.amplitude,
+                               model.sigma_n_sq)
+    assert np.allclose(app.sum(axis=-1), 1.0, atol=1e-12)
+    assert np.allclose(gamma.sum(axis=-1), 1.0, atol=1e-12)
     # code regularity and parity closure
     code = ldpc.default_code()
     assert np.all(code.H.sum(axis=0) == 3) and np.all(code.H.sum(axis=1) == 6)

@@ -6,12 +6,13 @@ import subprocess
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 import uwbsim
-from uwbsim import beliefs, cli, harness, msdd
+from uwbsim import beliefs, cli, harness, joint, ldpc, msdd
 from uwbsim.harness import (BerPoint, ConfigError, apply_overrides,
                             default_config, interpolate_required_snr,
                             load_config_file, n0_for_snr, resolve_out_dir)
@@ -70,6 +71,34 @@ def test_validate_rejects_bad_fields(patch):
     cfg = replace(default_config(3), **patch)
     with pytest.raises(ConfigError):
         cfg.validate()
+
+
+@pytest.mark.parametrize("tc, patch", [
+    (2, dict(schemes=("mmsdd",), eg_modes=("estimated",))),
+    (2, dict(schemes=("mmsdd",))),
+    (2, dict(schemes=("estimate", "noise"))),
+    (2, dict(schemes=())),
+    (2, dict(eg_modes=("estimated",))),
+    (2, dict(eg_modes=("perfect", "estimated"))),
+    (1, dict(schemes=("estimate",))),
+    (1, dict(eg_modes=("estimated",))),
+    (1, dict(m_list=(3, 7))),
+])
+def test_validate_rejects_settings_tc1_and_tc2_ignore(tc, patch):
+    # these ran and returned results for a scheme, E_g mode or M that the
+    # runner never used
+    cfg = replace(default_config(tc), **patch)
+    with pytest.raises(ConfigError):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("argv", [["tc2", "--eg", "estimated"],
+                                  ["tc1", "--eg", "estimated"],
+                                  ["tc1", "--m", "3,7"]])
+def test_cli_refuses_ignored_tc1_tc2_settings(argv, tmp_path, capsys):
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_validate_enforces_path_per_test_case():
@@ -357,8 +386,8 @@ def _sequential_tc3(cfg):
                 elif scheme == "bmsdd":
                     a_hat = msdd.bmsdd_detect(samples)
                 else:
-                    app, _ = msdd.msdd_app(samples, m, model.amplitude,
-                                           model.sigma_n_sq)
+                    (app,), _ = msdd.msdd_app([samples], m, model.amplitude,
+                                              model.sigma_n_sq)
                     a_hat = beliefs.hard(app)
                 errors += int(np.sum(a_hat != a))
                 bits += n_use
@@ -368,36 +397,104 @@ def _sequential_tc3(cfg):
     return points, made
 
 
+def _sequential_tc4(cfg):
+    """Reference: each point in turn, one packet per joint-receiver call,
+    then each trace packet alone.  Returns (points, traces) and the number
+    of packets made."""
+    params = SystemParams()
+    code = ldpc.default_code(cfg.k_info, cfg.n_coded, cfg.code_seed)
+    run = partial(joint.run_joint, code=code, outer_iters=cfg.outer_iters,
+                  inner_iters=cfg.inner_iters,
+                  variance_factor=cfg.variance_factor)
+    points, made = [], 0
+    for p_idx, snr in enumerate(cfg.snr_db):
+        for scheme in cfg.schemes:
+            for eg in cfg.eg_modes:
+                point = (p_idx, scheme, cfg.m_list[0], eg, snr)
+                errors = bits = 0
+                while errors < cfg.target_errors and bits < cfg.max_bits:
+                    info, (samples, imap, model, _) = harness._coded_packet(
+                        cfg, params, code, point, bits // code.k)
+                    out = run([samples], imaps=[imap], models=[model])
+                    errors += int(np.sum(out.info_bits[0] != info))
+                    bits += code.k
+                    made += 1
+                points.append(BerPoint(scheme, point[2], eg, snr, bits, errors,
+                                       errors / bits,
+                                       harness._ber_ci(errors, bits)))
+    traces = []
+    n_checks = code.H.shape[0]
+    for t_idx, (snr, scheme) in enumerate(
+            (snr, scheme) for snr in cfg.trace_snr_db
+            for scheme in cfg.trace_schemes):
+        point = (harness._TRACE_POINT_BASE + t_idx, scheme, cfg.m_list[0],
+                 cfg.eg_modes[0], snr)
+        acc = np.zeros((cfg.outer_iters, 3))
+        for pkt in range(cfg.trace_packets):
+            _, (samples, imap, model, cw) = harness._coded_packet(
+                cfg, params, code, point, pkt)
+            out = run([samples], imaps=[imap], models=[model],
+                      early_exit=False, true_coded_bits=[cw])
+            made += 1
+            for rec in out.trace[0]:
+                acc[rec.iteration - 1, 0] += rec.p_c_msdd
+                acc[rec.iteration - 1, 1] += rec.p_c_dec
+                acc[rec.iteration - 1, 2] += rec.checks_satisfied / n_checks
+        traces += [harness.TracePoint(scheme, point[2], point[3], snr, t + 1,
+                                      cfg.trace_packets,
+                                      *(acc[t] / cfg.trace_packets))
+                   for t in range(cfg.outer_iters)]
+    return (points, traces), made
+
+
+_LOCKSTEP_CONFIGS = {
+    "discrete": replace(default_config(3), snr_db=(2.0, 6.0, 9.0),
+                        m_list=(2, 3), n_symbols=30, target_errors=12,
+                        max_bits=600, schemes=("dd", "bmsdd", "mmsdd"),
+                        eg_modes=("perfect", "estimated")),
+    "waveform": replace(default_config(3), path="waveform",
+                        channel_mode="cm2", snr_db=(4.0, 8.0, 12.0),
+                        m_list=(2,), n_symbols=10, target_errors=4,
+                        max_bits=60, schemes=("dd", "mmsdd"),
+                        eg_modes=("perfect", "estimated")),
+    # 100-bit packets; 11 dB stops on the error target after 5 or 6
+    # packets, the rest on the budget of 8; five trace packets per scheme
+    "coded": replace(default_config(4), snr_db=(11.0, 12.5, 14.0),
+                     m_list=(2,), k_info=100, n_coded=200,
+                     target_errors=120, max_bits=800,
+                     schemes=("joint-mmsdd", "joint-bmsdd"),
+                     eg_modes=("perfect", "estimated"), trace_snr_db=(12.5,),
+                     trace_schemes=("joint-mmsdd", "joint-bmsdd"),
+                     trace_packets=5),
+}
+
+
 @pytest.mark.parametrize("path, budget", [
     ("discrete", None), ("discrete", 1), ("discrete", 600),
-    ("waveform", None), ("waveform", 100)])
+    ("waveform", None), ("waveform", 100),
+    # 1600 elements per 200-symbol M=2 round: 2 packets, so rounds split
+    ("coded", None), ("coded", 1), ("coded", 1600)])
 def test_lockstep_driver_matches_sequential_loop(monkeypatch, path, budget):
     # points stop on the error target after different numbers of packets,
     # or on the bit budget; a small element budget splits the rounds
-    if path == "discrete":
-        cfg = replace(default_config(3), snr_db=(2.0, 6.0, 9.0),
-                      m_list=(2, 3), n_symbols=30, target_errors=12,
-                      max_bits=600, schemes=("dd", "bmsdd", "mmsdd"),
-                      eg_modes=("perfect", "estimated"))
-    else:
-        cfg = replace(default_config(3), path="waveform", channel_mode="cm2",
-                      snr_db=(4.0, 8.0, 12.0), m_list=(2,), n_symbols=10,
-                      target_errors=4, max_bits=60, schemes=("dd", "mmsdd"),
-                      eg_modes=("perfect", "estimated"))
-    want, want_made = _sequential_tc3(cfg)
+    cfg = _LOCKSTEP_CONFIGS[path]
+    coded = cfg.test_case == 4
+    want, want_made = (_sequential_tc4 if coded else _sequential_tc3)(cfg)
     if budget is not None:
         monkeypatch.setattr(harness, "BATCH_ELEMENTS", budget)
     made = []
-    packet = harness._uncoded_packet
+    name = "_coded_packet" if coded else "_uncoded_packet"
+    packet = getattr(harness, name)
 
     def counted(*args):
         made.append(args[-2:])
         return packet(*args)
-    monkeypatch.setattr(harness, "_uncoded_packet", counted)
-    got = harness.run_testcase3(cfg)
+    monkeypatch.setattr(harness, name, counted)
+    got = (harness.run_testcase4 if coded else harness.run_testcase3)(cfg)
     assert got == want
     assert len(made) == want_made == len(set(made))
-    stops = {p.bits_simulated for p in got if p.bits_simulated < cfg.max_bits}
+    points = got[0] if coded else got
+    stops = {p.bits_simulated for p in points if p.bits_simulated < cfg.max_bits}
     assert len(stops) >= 2
 
 

@@ -78,8 +78,8 @@ def test_irregular_H_is_refused_at_construction(small, axis):
     assert np.ptp(H.sum(axis=axis)) == 0 and np.ptp(H.sum(axis=1 - axis)) == 2
     with pytest.raises(ValueError, match="regular"):
         ldpc.LdpcCode(H=H, info_positions=small.info_positions,
-                      parity_positions=small.parity_positions, B=small.B,
-                      seed=small.seed)
+                      parity_positions=small.parity_positions,
+                      B_packed=small.B_packed, seed=small.seed)
 
 
 def test_construction_is_seed_deterministic():
@@ -141,8 +141,9 @@ def test_encode_matches_dense_oracle(small, code, name, kind, seed):
     cw = ldpc.encode(code, info)
     assert cw.dtype == np.uint8
     assert np.array_equal(cw[code.info_positions], bits)
+    B = np.unpackbits(code.B_packed, axis=1, count=code.k)
     assert np.array_equal(cw[code.parity_positions],
-                          (code.B.astype(np.int64) @ bits) % 2)
+                          (B.astype(np.int64) @ bits) % 2)
 
 
 def test_single_bit_flip_breaks_col_weight_checks(code):

@@ -24,6 +24,13 @@ def _instance(seed, n=8, m=3, E_g=1.0, N0=0.08, uniform_priors=False):
     return a, samples, model, priors
 
 
+def _app(samples, m, A, s2, priors=None):
+    """(app, gamma) of one packet, run as a one-packet stack."""
+    app, gamma = msdd.msdd_app([samples], m, A, s2,
+                               None if priors is None else [priors])
+    return app[0], gamma[0]
+
+
 # ---------------------------------------------------------------------------
 # trellis structure
 
@@ -209,19 +216,23 @@ def test_batched_sweep_matches_single_sequences(seed, m, extra, b, noise,
                      for s, A, v in zip(samples, amps, sigmas)], axis=1)
     logp = np.stack([msdd._log_priors(p, n) for p in priors], axis=1)
     la, lb = msdd._sweep(logE, logp)
-    lg = msdd._merge_log(la, lb, logE)
+    lg = msdd._merge_log(la, lb, logE.copy())
     hard = msdd.detect_mmsdd(samples, m, amps, sigmas)
     assert hard.shape == (b, n)
+    apps, gammas = msdd.msdd_app(samples, m, amps, sigmas, priors)
+    assert apps.shape == gammas.shape == (b, n, 2)
     for j in range(b):
         # the same float operations, in the same order, as one sequence alone
         assert np.array_equal(la[:, j], _forward_loop(logE[:, j], logp[:, j]))
         assert np.array_equal(lb[:, j, np.arange(2 ** m) % 2 ** (m - 1)],
                               _backward_loop(logE[:, j], logp[:, j]))
-        app, gamma = msdd.msdd_app(samples[j], m, amps[j], sigmas[j],
+        app, gamma = _app(samples[j], m, amps[j], sigmas[j],
                                    priors[j])
         assert np.array_equal(gamma, beliefs.from_log(lg[:, j]))
         assert np.array_equal(app, beliefs.from_log(lg[:, j] + logp[:, j]))
-        app, _ = msdd.msdd_app(samples[j], m, amps[j], sigmas[j])
+        assert np.array_equal(gammas[j], gamma)
+        assert np.array_equal(apps[j], app)
+        app, _ = _app(samples[j], m, amps[j], sigmas[j])
         assert np.array_equal(hard[j], beliefs.hard(app))
 
 # ---------------------------------------------------------------------------
@@ -230,7 +241,7 @@ def test_batched_sweep_matches_single_sequences(seed, m, extra, b, noise,
 
 def test_app_matches_bruteforce_single_instance():
     a, samples, model, priors = _instance(5, n=8, m=3)
-    app, _ = msdd.msdd_app(samples, 3, model.amplitude, model.sigma_n_sq, priors)
+    app, _ = _app(samples, 3, model.amplitude, model.sigma_n_sq, priors)
     want = reference.app_marginals_bruteforce(
         samples, 3, model.amplitude, model.sigma_n_sq, priors)
     rel = np.max(np.abs(app - want) / np.maximum(want, 1e-300))
@@ -246,7 +257,7 @@ def test_oracle_suite_frozen_subset():
 
 def test_app_is_prior_times_extrinsic():
     a, samples, model, priors = _instance(6, n=8, m=2)
-    app, gamma = msdd.msdd_app(samples, 2, model.amplitude, model.sigma_n_sq,
+    app, gamma = _app(samples, 2, model.amplitude, model.sigma_n_sq,
                                priors)
     merged = beliefs.normalize(priors * gamma)
     assert np.allclose(app, merged, rtol=1e-10, atol=1e-12)
@@ -259,25 +270,25 @@ def test_delta_priors_pin_posteriors():
     priors = np.full((8, 2), 0.5)
     priors[2] = [1.0, 0.0]     # forces a_3 = +1
     priors[5] = [0.0, 1.0]     # forces a_6 = -1
-    app, _ = msdd.msdd_app(samples, 2, model.amplitude, model.sigma_n_sq, priors)
+    app, _ = _app(samples, 2, model.amplitude, model.sigma_n_sq, priors)
     assert app[2, 1] < 1e-100
     assert app[5, 0] < 1e-100
 
 
 def test_uninformative_samples_return_priors():
     a, samples, model, priors = _instance(8, n=8, m=2)
-    app, gamma = msdd.msdd_app(samples, 2, model.amplitude, 1e18, priors)
+    app, gamma = _app(samples, 2, model.amplitude, 1e18, priors)
     assert np.allclose(gamma, 0.5, atol=1e-9)
     assert np.allclose(app, priors, atol=1e-9)
 
 
 def test_decisions_scale_invariant():
     a, samples, model, priors = _instance(9, n=10, m=3)
-    app1, g1 = msdd.msdd_app(samples, 3, model.amplitude, model.sigma_n_sq,
+    app1, g1 = _app(samples, 3, model.amplitude, model.sigma_n_sq,
                              priors)
     c = 37.5
     scaled = acr.CorrSamples(c * samples.values, samples.pad_mask)
-    app2, g2 = msdd.msdd_app(scaled, 3, c * model.amplitude,
+    app2, g2 = _app(scaled, 3, c * model.amplitude,
                              c ** 2 * model.sigma_n_sq, priors)
     assert np.allclose(app1, app2, rtol=1e-10, atol=1e-12)
     assert np.allclose(g1, g2, rtol=1e-10, atol=1e-12)
@@ -285,7 +296,7 @@ def test_decisions_scale_invariant():
 
 def test_beliefs_normalized_and_positive():
     a, samples, model, priors = _instance(10, n=12, m=3, N0=0.3)
-    app, gamma = msdd.msdd_app(samples, 3, model.amplitude, model.sigma_n_sq,
+    app, gamma = _app(samples, 3, model.amplitude, model.sigma_n_sq,
                                priors)
     for arr in (app, gamma):
         assert np.allclose(arr.sum(axis=1), 1.0, atol=1e-12)
@@ -295,7 +306,10 @@ def test_beliefs_normalized_and_positive():
 def test_window_mismatch_rejected():
     a, samples, model, _ = _instance(11, n=8, m=2)
     with pytest.raises(ValueError):
-        msdd.msdd_app(samples, 3, model.amplitude, model.sigma_n_sq)
+        msdd.msdd_app([samples], 3, model.amplitude, model.sigma_n_sq)
+    with pytest.raises(ValueError):   # one prior belief per packet
+        msdd.msdd_app([samples, samples], 2, model.amplitude,
+                      model.sigma_n_sq, [np.full((8, 2), 0.5)])
 
 
 # ---------------------------------------------------------------------------

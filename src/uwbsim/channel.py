@@ -119,14 +119,3 @@ def effective_captured_energy(channel: ChannelRealization, params) -> float:
     g = received_pulse(channel, params, filtered=True)
     n_g = params.to_samples(params.T_g)
     return float(np.sum(g[:n_g] ** 2) * params.dt)
-
-
-def rms_delay_spread(channel: ChannelRealization) -> float:
-    """Energy-weighted RMS spread of the tap delays."""
-    p = channel.gains ** 2
-    total = p.sum()
-    if total <= 0:
-        raise ValueError("realization has no energy")
-    mean = np.sum(p * channel.delays) / total
-    second = np.sum(p * channel.delays ** 2) / total
-    return float(np.sqrt(max(second - mean ** 2, 0.0)))

@@ -34,21 +34,30 @@ class LdpcCode:
     _edges: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        rows, cols = np.nonzero(self.H)
-        by_check = np.lexsort((cols, rows))
-        by_var = np.lexsort((rows, cols))
-        # var-ordering position of each check-ordered edge
-        pos_in_var = np.empty(len(rows), dtype=np.int64)
-        pos_in_var[by_var] = np.arange(len(rows))
-        # the decoder and the syndrome reshape the edge lists by these
-        # weights, which would count silently wrong on an irregular H
+        # the decoder and the syndrome lay edges out by these weights,
+        # which would count silently wrong on an irregular H
         row_w, col_w = self.H.sum(axis=1), self.H.sum(axis=0)
         if np.ptp(row_w) or np.ptp(col_w):
             raise ValueError("H must have a regular row and column profile")
-        self._edges["check_cols"] = cols[by_check]
-        self._edges["c2v_scatter"] = pos_in_var[by_check]
-        self._edges["row_w"] = int(row_w[0])
-        self._edges["col_w"] = int(col_w[0])
+        row_w, col_w = int(row_w[0]), int(col_w[0])
+        n_checks, n = self.H.shape
+        # edges in check order (row-major), columns ascending within a check
+        rows, cols = np.nonzero(self.H)
+        n_edges = len(rows)
+        slot_in_var = np.empty(n_edges, dtype=np.int64)
+        slot_in_var[np.lexsort((rows, cols))] = np.arange(n_edges) % col_w
+        # flat position of each edge in the check layout (row_w, n_checks)
+        # and in the variable layout (col_w, n): slot-major, so each slot
+        # is one contiguous column of checks or of variables
+        at_check = np.arange(n_edges) % row_w * n_checks + rows
+        at_var = slot_in_var * n + cols
+        for name, shape, where, value in (
+                ("check_cols", (row_w, n_checks), at_check, cols),
+                ("to_check", (row_w, n_checks), at_check, at_var),
+                ("to_var", (col_w, n), at_var, at_check)):
+            table = np.empty(n_edges, dtype=np.int64)
+            table[where] = value
+            self._edges[name] = table.reshape(shape)
 
     @property
     def n(self) -> int:
@@ -190,44 +199,54 @@ def syndrome_weight(code: LdpcCode, hard_bits: np.ndarray) -> int:
     bits = np.asarray(hard_bits, dtype=np.int64) & 1
     if bits.shape != (code.n,):
         raise ValueError(f"expected {code.n} bits")
-    per_check = bits[code._edges["check_cols"]].reshape(-1, code._edges["row_w"])
-    return int(np.count_nonzero(np.bitwise_xor.reduce(per_check, axis=1)))
+    parity = np.bitwise_xor.reduce(bits[code._edges["check_cols"]], axis=0)
+    return int(np.count_nonzero(parity))
 
 
 def decode(code: LdpcCode, channel_llr: np.ndarray, max_iter: int = 10,
            early_stop: bool = True) -> DecodeResult:
-    """Flooding sum-product decoding in the LLR domain."""
+    """Flooding sum-product decoding in the LLR domain.
+
+    Messages live slot-major, (col_w, n) at the variables and (row_w,
+    n_checks) at the checks, so every sum and product over a node's edges
+    is a few whole-column operations, taken left to right in edge order.
+    """
     llr = np.clip(np.asarray(channel_llr, dtype=float), -_MSG_CLIP * 20, _MSG_CLIP * 20)
     if llr.shape != (code.n,):
         raise ValueError(f"expected {code.n} channel LLRs")
-    ed = code._edges
-    n_edges = len(ed["check_cols"])
-    row_w, col_w = ed["row_w"], ed["col_w"]
-    n_checks = code.H.shape[0]
-    c2v_var = np.zeros(n_edges)          # c2v messages in var ordering
-    hard = (llr < 0).astype(np.uint8)
+    to_check, to_var = code._edges["to_check"], code._edges["to_var"]
+    c2v = np.zeros(to_var.shape)
+    # leave-one-out products: pre[r] = t[0]...t[r-1], suf[r] = t[r+1]...
+    pre = np.empty(to_check.shape)
+    suf = np.empty(to_check.shape)
+    pre[0] = suf[-1] = 1.0
+    extr = np.zeros(code.n)
+    post = llr + extr
     n_run = 0
     for it in range(max_iter):
         # variable update: leave-one-out sums of incoming check messages
-        c2v_mat = c2v_var.reshape(code.n, col_w)
-        totals = llr + c2v_mat.sum(axis=1)
-        v2c_var = totals[:, None] - c2v_mat
+        v2c = post - c2v
         # check update: leave-one-out tanh products per check
-        v2c_check = v2c_var.reshape(-1)[ed["c2v_scatter"]].reshape(n_checks, row_w)
-        t = np.tanh(np.clip(v2c_check, -_MSG_CLIP, _MSG_CLIP) / 2.0)
-        pre = np.cumprod(np.concatenate([np.ones((n_checks, 1)), t[:, :-1]], axis=1), axis=1)
-        suf = np.cumprod(np.concatenate([np.ones((n_checks, 1)), t[:, :0:-1]], axis=1), axis=1)[:, ::-1]
-        prod = np.clip(pre * suf, -1.0 + _PROD_EPS, 1.0 - _PROD_EPS)
-        c2v_check = 2.0 * np.arctanh(prod)
-        c2v_var = np.empty(n_edges)
-        c2v_var[ed["c2v_scatter"]] = c2v_check.reshape(-1)
+        t = v2c.reshape(-1)[to_check]
+        np.clip(t, -_MSG_CLIP, _MSG_CLIP, out=t)
+        np.divide(t, 2.0, out=t)
+        np.tanh(t, out=t)
+        for r in range(1, len(t)):
+            np.multiply(pre[r - 1], t[r - 1], out=pre[r])
+            np.multiply(suf[-r], t[-r], out=suf[-r - 1])
+        np.multiply(pre, suf, out=t)
+        np.clip(t, -1.0 + _PROD_EPS, 1.0 - _PROD_EPS, out=t)
+        np.arctanh(t, out=t)
+        np.multiply(t, 2.0, out=t)
+        c2v = t.reshape(-1)[to_var]
+        # each sum starts from +0.0, as np.sum does, so -0.0 terms sum to +0.0
+        np.add(c2v[0], 0.0, out=extr)
+        for row in c2v[1:]:
+            np.add(extr, row, out=extr)
+        np.add(llr, extr, out=post)
         n_run = it + 1
-        totals = llr + c2v_var.reshape(code.n, col_w).sum(axis=1)
-        hard = (totals < 0).astype(np.uint8)
-        if early_stop and syndrome_weight(code, hard) == 0:
+        if early_stop and syndrome_weight(code, post < 0) == 0:
             break
-    extr = c2v_var.reshape(code.n, col_w).sum(axis=1)
-    post = llr + extr
     hard = (post < 0).astype(np.uint8)
     n_bad = syndrome_weight(code, hard)
     return DecodeResult(hard_bits=hard, posterior_llr=post, extrinsic_llr=extr,

@@ -61,7 +61,8 @@ def _log_priors(priors, n: int) -> np.ndarray:
 
 
 # stacked sweep arrays hold at most this many (step, sequence, state)
-# elements, about 4 MB each; callers size their batches by it
+# elements, about 4 MB each; callers size their batches by it.  The sweep's
+# shared buffer holds two of them, alpha and beta padded to 2^M states
 BATCH_ELEMENTS = 1 << 19
 
 
@@ -76,40 +77,45 @@ def _sweep(logE: np.ndarray, logp: np.ndarray):
     even/odd slices of a row.  beta(S_i) depends only on the M-1 newest
     symbols, the ones later samples still see, so state s reads column
     s mod 2^(M-1).
+
+    One loop advances alpha_i -> alpha_{i+1} and beta_{N-i} -> beta_{N-i-1}
+    together in a shared (N+1, 2, B, 2^M) buffer R: R[i, 0] is alpha_i and
+    R[i, 1] holds beta_{N-i} in its first 2^(M-1) columns, the rest pinned
+    at -inf.  So one max and one subtract over R[i+1] normalize both rows,
+    and exactly: a -inf entry never raises a row max, and -inf minus the
+    finite max stays -inf.  alpha and beta come back as views of R.
     """
     N, B, S = logE.shape
     half = S >> 1
-    la = np.empty((N + 1, B, S))
-    lb = np.empty((N + 1, B, half))
-    la[0] = -np.inf
-    la[0, :, 0] = 0.0
-    lb[N] = 0.0
-    mx = np.empty((B, 1))
-    mx0 = mx[:, 0]
+    R = np.empty((N + 1, 2, B, S))
+    R[0, 0] = -np.inf
+    R[0, 0, :, 0] = 0.0
+    R[0, 1, :, :half] = 0.0
+    R[:, 1, :, half:] = -np.inf
     t = np.empty((B, half))
     t3 = t[:, :, None]
-    for lo, hi, cur, cur3, e, lp in zip(
-            la[:-1, :, :half], la[:-1, :, half:], la[1:],
-            la[1:].reshape(N, B, half, 2), logE, logp[:, :, None, :]):
+    # the backward step's sum, as (B, 2, half) by source and as
+    # (B, half, 2) pairs of states that differ only in the newest bit
+    nxt = np.empty((B, 2, half))
+    pairs = nxt.reshape(B, half, 2)
+    even, odd = pairs[:, :, 0], pairs[:, :, 1]
+    mx = np.empty((2, B, 1))
+    mx2 = mx[:, :, 0]
+    for lo, hi, cur, cur3, e, lp, nb, beta, eb, lpb, row in zip(
+            R[:-1, 0, :, :half], R[:-1, 0, :, half:], R[1:, 0],
+            R[1:, 0].reshape(N, B, half, 2), logE, logp[:, :, None, :],
+            R[:-1, 1, :, None, :half], R[1:, 1, :, :half],
+            logE.reshape(N, B, 2, half)[::-1], logp[::-1, :, None, :],
+            R[1:]):
         np.logaddexp(lo, hi, out=t)
         np.add(t3, lp, out=cur3)
         np.add(cur, e, out=cur)
-        np.maximum.reduce(cur, axis=1, out=mx0)
-        np.subtract(cur, mx, out=cur)
-    nxt = np.empty((B, 2, half))
-    even, odd = nxt.reshape(B, S)[:, 0::2], nxt.reshape(B, S)[:, 1::2]
-    u = np.empty((B, half))
-    for nb, cur, e, lp0, lp1 in zip(
-            lb[:0:-1, :, None, :], lb[-2::-1],
-            logE.reshape(N, B, 2, half)[::-1], logp[::-1, :, :1],
-            logp[::-1, :, 1:]):
-        np.add(nb, e, out=nxt)
-        np.add(even, lp0, out=u)
-        np.add(odd, lp1, out=t)
-        np.logaddexp(u, t, out=cur)
-        np.maximum.reduce(cur, axis=1, out=mx0)
-        np.subtract(cur, mx, out=cur)
-    return la, lb
+        np.add(nb, eb, out=nxt)
+        np.add(pairs, lpb, out=pairs)
+        np.logaddexp(even, odd, out=beta)
+        np.maximum.reduce(row, axis=2, out=mx2)
+        np.subtract(row, mx, out=row)
+    return R[:, 0], R[::-1, 1, :, :half]
 
 
 def _row_logsumexp(x: np.ndarray) -> np.ndarray:

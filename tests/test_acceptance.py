@@ -13,6 +13,8 @@ import pytest
 from uwbsim import acr, harness, ldpc, msdd, reference
 from uwbsim.harness import default_config
 
+from required_snr import interpolate_required_snr
+
 pytestmark = pytest.mark.acceptance
 
 
@@ -140,9 +142,9 @@ def test_criterion_7_joint_sliding_window_beats_block(tc4_run):
         compared += 1
         assert mm.ber <= bm.ber, s
     assert compared >= 3
-    mm_req = harness.interpolate_required_snr(
+    mm_req = interpolate_required_snr(
         [p for p in points if p.scheme == "joint-mmsdd"], 1e-3)
-    bm_req = harness.interpolate_required_snr(
+    bm_req = interpolate_required_snr(
         [p for p in points if p.scheme == "joint-bmsdd"], 1e-3)
     assert np.isfinite(mm_req.mid) and np.isfinite(bm_req.mid)
     assert mm_req.mid < bm_req.mid

@@ -14,9 +14,11 @@ import pytest
 import uwbsim
 from uwbsim import beliefs, cli, harness, joint, ldpc, msdd
 from uwbsim.harness import (BerPoint, ConfigError, apply_overrides,
-                            default_config, interpolate_required_snr,
-                            load_config_file, n0_for_snr, resolve_out_dir)
+                            default_config, load_config_file, n0_for_snr,
+                            resolve_out_dir)
 from uwbsim.params import SystemParams
+
+from required_snr import interpolate_required_snr
 
 P = SystemParams()
 

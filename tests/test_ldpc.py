@@ -258,3 +258,91 @@ def test_posterior_is_channel_plus_extrinsic(small):
     assert np.allclose(res.posterior_llr, llr + res.extrinsic_llr,
                        rtol=1e-12, atol=1e-12)
 
+
+
+# ---------------------------------------------------------------------------
+# the decoder against its reduction-based form
+
+
+def _reference_edges(code):
+    """Edge tables of the reduction-based decoder, rebuilt from H."""
+    rows, cols = np.nonzero(code.H)
+    by_check = np.lexsort((cols, rows))
+    by_var = np.lexsort((rows, cols))
+    # var-ordering position of each check-ordered edge
+    pos_in_var = np.empty(len(rows), dtype=np.int64)
+    pos_in_var[by_var] = np.arange(len(rows))
+    return {"check_cols": cols[by_check], "c2v_scatter": pos_in_var[by_check],
+            "row_w": int(code.H.sum(axis=1)[0]),
+            "col_w": int(code.H.sum(axis=0)[0])}
+
+
+def _reference_decode(code, channel_llr, max_iter=10, early_stop=True):
+    """Reference: the flooding decoder written with short-axis reductions
+    (per-node sums, np.cumprod prefix and suffix products); the syndrome
+    is the dense oracle."""
+    llr = np.clip(np.asarray(channel_llr, dtype=float), -ldpc._MSG_CLIP * 20, ldpc._MSG_CLIP * 20)
+    ed = _reference_edges(code)
+    n_edges = len(ed["check_cols"])
+    row_w, col_w = ed["row_w"], ed["col_w"]
+    n_checks = code.H.shape[0]
+    c2v_var = np.zeros(n_edges)          # c2v messages in var ordering
+    hard = (llr < 0).astype(np.uint8)
+    n_run = 0
+    for it in range(max_iter):
+        # variable update: leave-one-out sums of incoming check messages
+        c2v_mat = c2v_var.reshape(code.n, col_w)
+        totals = llr + c2v_mat.sum(axis=1)
+        v2c_var = totals[:, None] - c2v_mat
+        # check update: leave-one-out tanh products per check
+        v2c_check = v2c_var.reshape(-1)[ed["c2v_scatter"]].reshape(n_checks, row_w)
+        t = np.tanh(np.clip(v2c_check, -ldpc._MSG_CLIP, ldpc._MSG_CLIP) / 2.0)
+        pre = np.cumprod(np.concatenate([np.ones((n_checks, 1)), t[:, :-1]], axis=1), axis=1)
+        suf = np.cumprod(np.concatenate([np.ones((n_checks, 1)), t[:, :0:-1]], axis=1), axis=1)[:, ::-1]
+        prod = np.clip(pre * suf, -1.0 + ldpc._PROD_EPS, 1.0 - ldpc._PROD_EPS)
+        c2v_check = 2.0 * np.arctanh(prod)
+        c2v_var = np.empty(n_edges)
+        c2v_var[ed["c2v_scatter"]] = c2v_check.reshape(-1)
+        n_run = it + 1
+        totals = llr + c2v_var.reshape(code.n, col_w).sum(axis=1)
+        hard = (totals < 0).astype(np.uint8)
+        if early_stop and not _dense_syndrome(code, hard).any():
+            break
+    extr = c2v_var.reshape(code.n, col_w).sum(axis=1)
+    post = llr + extr
+    hard = (post < 0).astype(np.uint8)
+    n_bad = int(_dense_syndrome(code, hard).sum())
+    return ldpc.DecodeResult(hard_bits=hard, posterior_llr=post,
+                             extrinsic_llr=extr, n_iterations=n_run,
+                             checks_satisfied=(n_bad == 0), n_unsatisfied=n_bad)
+
+
+def _same_bits(a, b):
+    """Equal dtype, shape and bytes, so -0.0 and +0.0 differ."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(["small", "default"]),
+       early_stop=st.booleans(), max_iter=st.integers(1, 10),
+       seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([0.5, 3.0, 40.0]),
+       edge_frac=st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+def test_decode_matches_reduction_reference(small, code, name, early_stop,
+                                            max_iter, seed, scale, edge_frac):
+    code = small if name == "small" else code
+    rng = np.random.default_rng(seed)
+    llr = rng.normal(rng.uniform(-2.0, 2.0), scale, code.n)
+    # a share of LLRs at the +-600 clip edge or past it, past the +-30
+    # message clip, or exactly +-0.0
+    edge = rng.random(code.n) < edge_frac
+    llr[edge] = rng.choice([600.0, -600.0, 1e4, -1e4, 45.0, -45.0, 0.0, -0.0],
+                           size=int(edge.sum()))
+    got = ldpc.decode(code, llr, max_iter=max_iter, early_stop=early_stop)
+    want = _reference_decode(code, llr, max_iter=max_iter,
+                             early_stop=early_stop)
+    for field in ("hard_bits", "posterior_llr", "extrinsic_llr"):
+        assert _same_bits(getattr(got, field), getattr(want, field)), field
+    assert got.n_iterations == want.n_iterations
+    assert got.n_unsatisfied == want.n_unsatisfied
+    assert got.checks_satisfied == want.checks_satisfied

@@ -248,6 +248,28 @@ def test_app_matches_bruteforce_single_instance():
     assert rel <= 1e-9
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 5),
+       extra=st.integers(0, 11), b=st.integers(1, 3),
+       noise=st.sampled_from([1e-9, 1e-4, 0.05, 0.5, 5.0]),
+       saturate=st.booleans(), uniform=st.booleans())
+def test_app_matches_bruteforce_across_range(seed, m, extra, b, noise,
+                                             saturate, uniform):
+    # N up to 12, per-packet amplitude and sigma^2, N0 from 5e-10 to 10
+    # (SNR = N_f E_g / N0 down to about -5 dB), priors at 1e-300 and
+    # 1 - 1e-16
+    n = min(m + extra, 12)
+    samples, amps, sigmas, priors = _stack(seed, m, n, b, noise, saturate)
+    if uniform:
+        priors = [None] * b
+    apps, _ = msdd.msdd_app(samples, m, amps, sigmas,
+                            None if uniform else priors)
+    for app, s, A, s2, p in zip(apps, samples, amps, sigmas, priors):
+        want = reference.app_marginals_bruteforce(s, m, A, s2, p)
+        rel = np.max(np.abs(app - want) / np.maximum(want, 1e-300))
+        assert rel <= 1e-9
+
+
 def test_oracle_suite_frozen_subset():
     out = reference.run_oracle_check(n_instances=40, seed=7)
     assert out["app_pass"] and out["block_pass"]

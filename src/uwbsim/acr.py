@@ -142,11 +142,11 @@ def despread_windows(received: SampledSignal, th: ThCode, params,
     need = (n_windows - 1) * step + max(offs) + G
     if need > len(x):
         raise ValueError("capture window exceeds the received signal extent")
+    # row r of `starts` is x[r:r + G]; rows k, k + step, ... are the windows
+    starts = np.lib.stride_tricks.sliding_window_view(x, G)
     out = np.zeros((n_windows, G))
-    for i in range(n_windows):
-        base = i * step
-        for k in offs:
-            out[i] += x[base + k:base + k + G]
+    for k in offs:
+        out += starts[k:k + (n_windows - 1) * step + 1:step]
     return out
 
 
@@ -172,14 +172,12 @@ def sample_block(received: SampledSignal, th: ThCode, params,
         raise ValueError("need M >= 1")
     if N % M != 0:
         raise ValueError("block sampling needs N divisible by M")
-    D = despread_windows(received, th, params, N + 1)
-    dt = 1.0 / received.f_sim
-    U = N // M
-    vals = np.zeros((U, M, M))
-    for u in range(U):
-        for r in range(M):
-            for c in range(r + 1):
-                vals[u, r, c] = dt * float(D[u * M + r + 1] @ D[u * M + c]) / params.N_f
+    # block sample (u, r, c) is overlapping sample Y_{uM+r+1, r+1-c}
+    Y = sample_overlapping(received, th, params, N, M).values
+    u = np.arange(N // M)[:, None, None]
+    r = np.arange(M)[None, :, None]
+    c = np.arange(M)[None, None, :]
+    vals = np.where(c <= r, Y[u * M + r, np.maximum(r - c, 0)], 0.0)
     return BlockCorrSamples(vals)
 
 

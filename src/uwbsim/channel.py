@@ -88,17 +88,13 @@ def received_pulse(channel: ChannelRealization, params, filtered: bool = False) 
     returned array is aligned so index 0 still corresponds to t = 0; ringing
     ahead of t = 0 is discarded, as it falls outside any capture window).
     """
-    pulse = waveform.monocycle(params)
-    idx = np.round(channel.delays * params.f_sim).astype(int)
-    n = (int(idx.max()) if len(idx) else 0) + len(pulse)
-    g = np.zeros(n)
-    for k, gain in zip(idx, channel.gains):
-        g[k:k + len(pulse)] += gain * pulse
+    pulse = waveform.SampledSignal(waveform.monocycle(params), params.f_sim)
+    g = waveform.apply_channel(pulse, channel, params).samples
     if not filtered:
         return g
     pad = params.to_samples(40e-9)
-    buf = np.zeros(n + 2 * pad)
-    buf[pad:pad + n] = g
+    buf = np.zeros(len(g) + 2 * pad)
+    buf[pad:pad + len(g)] = g
     buf = waveform.brickwall_lowpass(buf, params.f_sim, params.W)
     return buf[pad:]
 

@@ -4,6 +4,7 @@ All waveforms live on a uniform grid at params.f_sim.  Integrals are Riemann
 sums weighted by dt, so a unit-energy pulse satisfies sum(w**2) * dt == 1.
 """
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,40 +57,34 @@ def monocycle(params) -> np.ndarray:
     return w
 
 
-def symbol_waveform(params, th: ThCode) -> SampledSignal:
-    """One symbol's pulse train: N_f hopped copies of the monocycle over [0, T_s)."""
-    th.validate(params)
-    pulse = monocycle(params)
-    n = params.to_samples(params.T_s)
-    out = np.zeros(n)
-    for j, c in enumerate(th.chips):
-        k = params.to_samples(j * params.T_f + c * params.T_c)
-        if k + len(pulse) > n:
-            raise ValueError("hopped pulse spills out of its frame")
-        out[k:k + len(pulse)] += pulse
-    return SampledSignal(out, params.f_sim)
-
-
 def transmit(diff_symbols: np.ndarray, params, th: ThCode,
              channel) -> SampledSignal:
     """Noiseless received signal of d_0..d_N through `channel`.
 
-    The channel-filtered symbol waveform is rendered once and superposed,
-    d_i-weighted, at offsets i*T_s; the channel is linear and time-invariant,
-    so this equals passing the whole pulse train through it, up to rounding.
-    The buffer is zero-padded to a fast FFT length for the front-end filter.
+    The channel's pulse response g is rendered once and written, d_i-weighted,
+    at every hop offset of every symbol.  While frame responses do not overlap
+    (always at the default SystemParams), each sample is the same tap-ordered
+    sum as passing the whole pulse train through the channel.  The buffer is
+    zero-padded to a fast FFT length for the front-end filter.
     """
     import scipy.fft
     d = np.asarray(diff_symbols, dtype=float)
     if d.ndim != 1 or d.size == 0 or np.any(np.abs(d) != 1):
         raise ValueError("diff_symbols must be a non-empty 1-d array of +-1")
-    template = apply_channel(symbol_waveform(params, th), channel,
-                             params).samples
+    th.validate(params)
+    pulse = monocycle(params)
     step = params.to_samples(params.T_s)
-    n = len(template)
-    out = np.zeros(scipy.fft.next_fast_len(step * (len(d) - 1) + n))
+    offs = [params.to_samples(j * params.T_f + c * params.T_c)
+            for j, c in enumerate(th.chips)]
+    if max(offs) + len(pulse) > step:
+        raise ValueError("hopped pulse spills out of its frame")
+    g = apply_channel(SampledSignal(pulse, params.f_sim), channel,
+                      params).samples
+    out = np.zeros(scipy.fft.next_fast_len(
+        step * len(d) + len(g) - len(pulse)))
     for i, di in enumerate(d):
-        out[i * step:i * step + n] += di * template
+        for k in offs:
+            out[i * step + k:i * step + k + len(g)] += di * g
     return SampledSignal(out, params.f_sim)
 
 
@@ -110,8 +105,10 @@ def apply_channel(sig: SampledSignal, channel, params) -> SampledSignal:
 def brickwall_lowpass(x: np.ndarray, f_sim: float, W: float) -> np.ndarray:
     """Ideal low-pass: zero all DFT bins above W (circular convolution)."""
     spec = np.fft.rfft(x)
-    freqs = np.fft.rfftfreq(len(x), 1.0 / f_sim)
-    spec[freqs > W] = 0.0
+    # first bin above W; bin k sits at k * df, computed as np.fft.rfftfreq does
+    df = 1.0 / (len(x) * (1.0 / f_sim))
+    k = bisect.bisect_right(range(len(spec)), W, key=lambda i: i * df)
+    spec[k:] = 0.0
     return np.fft.irfft(spec, n=len(x))
 
 
@@ -124,6 +121,7 @@ def add_awgn_and_filter(sig: SampledSignal, N0: float, params,
     if N0 > 0:
         if rng is None:
             raise ValueError("rng required when N0 > 0")
-        x = x + rng.normal(0.0, np.sqrt(N0 * params.f_sim / 2.0), len(x))
+        noise = rng.normal(0.0, np.sqrt(N0 * params.f_sim / 2.0), len(x))
+        x = np.add(noise, x, out=noise)
     return SampledSignal(brickwall_lowpass(x, params.f_sim, params.W),
                          sig.f_sim)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from uwbsim import acr, txchain, waveform
-from uwbsim.channel import ChannelRealization
+from uwbsim.channel import ChannelRealization, generate_cm2
 from uwbsim.params import SystemParams
 
 P = SystemParams()
@@ -174,6 +174,48 @@ def test_sample_block_matches_overlapping_adjacent_pairs():
     sl = acr.sample_overlapping(r, th, P, 4, 1)
     bl = acr.sample_block(r, th, P, 4, 1)
     assert np.allclose(bl.values[:, 0, 0], sl.values[:, 0], rtol=1e-9)
+
+
+@pytest.fixture(scope="module")
+def cm2_packet():
+    """A noisy 60-symbol CM2 waveform packet and its TH code."""
+    rng = np.random.default_rng(12)
+    ch = generate_cm2(P, rng)
+    th = waveform.ThCode.random(P, rng)
+    d = txchain.differential_modulate(rng.choice([-1, 1], 60))
+    sig = waveform.add_awgn_and_filter(waveform.transmit(d, P, th, ch), 0.5,
+                                       P, rng)
+    return sig, th
+
+
+def test_despread_matches_per_window_loop(cm2_packet):
+    # adding each hop offset to every window at once keeps each element's
+    # terms in offset order
+    sig, th = cm2_packet
+    step, G = P.to_samples(P.T_s), P.to_samples(P.T_g)
+    offs = [P.to_samples(j * P.T_f + c * P.T_c) for j, c in enumerate(th.chips)]
+    want = np.zeros((61, G))
+    for i in range(61):
+        for k in offs:
+            want[i] += sig.samples[i * step + k:i * step + k + G]
+    assert acr.despread_windows(sig, th, P, 61).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4, 5])
+def test_sample_block_matches_pairwise_loop(cm2_packet, M):
+    # block sample (u, r, c) is the overlapping sample of the same window pair
+    sig, th = cm2_packet
+    N = 60
+    D = acr.despread_windows(sig, th, P, N + 1)
+    dt = 1.0 / sig.f_sim
+    want = np.zeros((N // M, M, M))
+    for u in range(N // M):
+        for r in range(M):
+            for c in range(r + 1):
+                want[u, r, c] = dt * float(D[u * M + r + 1] @ D[u * M + c]) / P.N_f
+    got = acr.sample_block(sig, th, P, N, M).values
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_sample_block_shape_and_divisibility():

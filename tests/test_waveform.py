@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uwbsim import txchain, waveform
-from uwbsim.channel import ChannelRealization
+from uwbsim.channel import ChannelRealization, generate_cm2
 from uwbsim.params import SystemParams
+from waveform_reference import symbol_waveform, transmit_full_train
 
 P = SystemParams()
 UNIT_TAP = ChannelRealization(np.array([0.0]), np.array([1.0]))
@@ -13,6 +15,11 @@ UNIT_TAP = ChannelRealization(np.array([0.0]), np.array([1.0]))
 
 def _energy(x: np.ndarray, f_sim: float) -> float:
     return float(np.sum(x ** 2) / f_sim)
+
+
+def _one_symbol(params, th) -> np.ndarray:
+    """One symbol's pulse train, as transmit renders it through a unit tap."""
+    return waveform.transmit(np.array([1]), params, th, UNIT_TAP).samples
 
 
 def test_monocycle_unit_energy():
@@ -46,17 +53,16 @@ def test_monocycle_band_retention_value():
 def test_symbol_waveform_single_frame_is_one_pulse():
     p1 = SystemParams(N_f=1)
     th = waveform.ThCode(np.array([0]))
-    sig = waveform.symbol_waveform(p1, th)
+    x = _one_symbol(p1, th)
     w = waveform.monocycle(p1)
-    assert np.allclose(sig.samples[:len(w)], w)
-    assert np.allclose(sig.samples[len(w):], 0.0)
+    assert np.allclose(x[:len(w)], w)
+    assert np.allclose(x[len(w):], 0.0)
 
 
 def test_symbol_waveform_ten_disjoint_pulses():
     rng = np.random.default_rng(0)
     th = waveform.ThCode.random(P, rng)
-    sig = waveform.symbol_waveform(P, th)
-    occupied = np.flatnonzero(np.abs(sig.samples) > 0)
+    occupied = np.flatnonzero(np.abs(_one_symbol(P, th)) > 0)
     # pulse supports land inside their own frames at the chip offsets
     starts = {P.to_samples(j * P.T_f + c * P.T_c)
               for j, c in enumerate(th.chips)}
@@ -68,9 +74,8 @@ def test_symbol_waveform_ten_disjoint_pulses():
 def test_symbol_waveform_energy_is_nf_pulse_energies():
     rng = np.random.default_rng(1)
     th = waveform.ThCode.random(P, rng)
-    sig = waveform.symbol_waveform(P, th)
-    assert _energy(sig.samples, P.f_sim) == pytest.approx(P.N_f * 1.0,
-                                                          rel=1e-6)
+    assert _energy(_one_symbol(P, th), P.f_sim) == pytest.approx(P.N_f * 1.0,
+                                                                 rel=1e-6)
 
 
 def test_thcode_validation():
@@ -82,7 +87,7 @@ def test_thcode_validation():
 
 def test_transmit_reference_only():
     th = waveform.ThCode(np.zeros(P.N_f, dtype=int))
-    ws = waveform.symbol_waveform(P, th)
+    ws = symbol_waveform(P, th)
     sig = waveform.transmit(np.array([1]), P, th, UNIT_TAP)
     n = P.to_samples(P.T_s)
     assert len(sig.samples) >= n
@@ -107,7 +112,7 @@ def test_transmit_segment_signs_match_symbols():
     a = np.array([-1, 1, -1, -1, 1])
     d = txchain.differential_modulate(a)
     sig = waveform.transmit(d, P, th, UNIT_TAP)
-    ws = waveform.symbol_waveform(P, th)
+    ws = symbol_waveform(P, th)
     n = P.to_samples(P.T_s)
     for i, di in enumerate(d):
         seg = sig.samples[i * n:(i + 1) * n]
@@ -125,8 +130,8 @@ def test_transmit_energy_accounting():
 
 
 def test_transmit_through_channel_equals_channel_of_transmit():
-    # the channel is linear and time-invariant, so rendering it once into
-    # the symbol template equals passing the whole pulse train through it
+    # the channel is linear and time-invariant, so writing its pulse
+    # response at each hop offset equals passing the pulse train through it
     rng = np.random.default_rng(10)
     th = waveform.ThCode.random(P, rng)
     d = txchain.differential_modulate(np.array([1, -1, -1, 1]))
@@ -140,6 +145,22 @@ def test_transmit_through_channel_equals_channel_of_transmit():
     assert np.all(got[n:] == 0.0) and np.all(want[n:] == 0.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_symbols=st.integers(1, 40),
+       cm2=st.booleans())
+def test_transmit_matches_full_train_rendering(seed, n_symbols, cm2):
+    # frame responses never overlap at the default params, so rendering the
+    # pulse response per hop offset adds the same products in the same order
+    rng = np.random.default_rng(seed)
+    ch = generate_cm2(P, rng) if cm2 else UNIT_TAP
+    th = waveform.ThCode.random(P, rng)
+    d = rng.choice([-1, 1], n_symbols)
+    got = waveform.transmit(d, P, th, ch).samples
+    want = transmit_full_train(d, P, th, ch).samples
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_transmit_rejects_non_antipodal_symbols():
     th = waveform.ThCode(np.zeros(P.N_f, dtype=int))
     for bad in (np.array([]), np.array([1, 0]), np.ones((2, 2))):
@@ -150,7 +171,7 @@ def test_transmit_rejects_non_antipodal_symbols():
 def test_apply_channel_identity_tap():
     rng = np.random.default_rng(5)
     th = waveform.ThCode.random(P, rng)
-    sig = waveform.symbol_waveform(P, th)
+    sig = symbol_waveform(P, th)
     ch = ChannelRealization(np.array([0.0]), np.array([1.0]))
     out = waveform.apply_channel(sig, ch, P)
     assert np.allclose(out.samples[:len(sig.samples)], sig.samples)
@@ -159,7 +180,7 @@ def test_apply_channel_identity_tap():
 def test_apply_channel_scaled_delayed_copy():
     rng = np.random.default_rng(6)
     th = waveform.ThCode.random(P, rng)
-    sig = waveform.symbol_waveform(P, th)
+    sig = symbol_waveform(P, th)
     ch = ChannelRealization(np.array([5e-9]), np.array([0.5]))
     out = waveform.apply_channel(sig, ch, P)
     k = P.to_samples(5e-9)
@@ -170,7 +191,7 @@ def test_apply_channel_scaled_delayed_copy():
 def test_apply_channel_linearity():
     rng = np.random.default_rng(7)
     th = waveform.ThCode.random(P, rng)
-    s1 = waveform.symbol_waveform(P, th)
+    s1 = symbol_waveform(P, th)
     s2 = waveform.SampledSignal(rng.normal(size=len(s1.samples)), P.f_sim)
     ch = ChannelRealization(np.array([0.0, 3e-9, 40e-9]),
                             np.array([0.7, -0.4, 0.2]))
@@ -181,6 +202,24 @@ def test_apply_channel_linearity():
     r2 = waveform.apply_channel(s2, ch, P)
     assert np.allclose(lhs.samples, 2.0 * r1.samples - 3.0 * r2.samples,
                        atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 3000), f_sim=st.floats(1e3, 1e11),
+       frac=st.floats(0.0, 0.6), on_bin=st.booleans(),
+       nudge=st.sampled_from([-1, 0, 1]), seed=st.integers(0, 2 ** 32 - 1))
+def test_brickwall_slice_matches_frequency_mask(n, f_sim, frac, on_bin, nudge,
+                                                seed):
+    # W on a bin frequency (or one ulp off it) is where a slice boundary
+    # computed any other way than rfftfreq's would disagree with its mask
+    freqs = np.fft.rfftfreq(n, 1.0 / f_sim)
+    W = freqs[int(frac * (len(freqs) - 1))] if on_bin else frac * f_sim
+    W = W if nudge == 0 else float(np.nextafter(W, nudge * np.inf))
+    x = np.random.default_rng(seed).normal(size=n)
+    spec = np.fft.rfft(x)
+    spec[freqs > W] = 0.0
+    want = np.fft.irfft(spec, n=n)
+    assert waveform.brickwall_lowpass(x, f_sim, W).tobytes() == want.tobytes()
 
 
 def test_add_awgn_zero_noise_returns_filtered_input():

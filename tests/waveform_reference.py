@@ -1,0 +1,40 @@
+"""Full-length renderings of the transmit chain, kept as references for the
+waveform tests: the hopped pulse train of one symbol over [0, T_s), and the
+received signal built by passing that whole train through the channel and
+superposing the filtered symbols.  `waveform.transmit` must equal the latter
+bit for bit wherever frame responses do not overlap."""
+
+import numpy as np
+import scipy.fft
+
+from uwbsim import waveform
+
+
+def symbol_waveform(params, th: waveform.ThCode) -> waveform.SampledSignal:
+    """One symbol's pulse train: N_f hopped copies of the monocycle over [0, T_s)."""
+    th.validate(params)
+    pulse = waveform.monocycle(params)
+    n = params.to_samples(params.T_s)
+    out = np.zeros(n)
+    for j, c in enumerate(th.chips):
+        k = params.to_samples(j * params.T_f + c * params.T_c)
+        if k + len(pulse) > n:
+            raise ValueError("hopped pulse spills out of its frame")
+        out[k:k + len(pulse)] += pulse
+    return waveform.SampledSignal(out, params.f_sim)
+
+
+def transmit_full_train(diff_symbols, params, th: waveform.ThCode,
+                        channel) -> waveform.SampledSignal:
+    """Received signal of d_0..d_N: the channel-filtered symbol waveform,
+    d_i-weighted and superposed at offsets i*T_s, in a buffer of the same
+    fast FFT length as `waveform.transmit`."""
+    d = np.asarray(diff_symbols, dtype=float)
+    template = waveform.apply_channel(symbol_waveform(params, th), channel,
+                                      params).samples
+    step = params.to_samples(params.T_s)
+    n = len(template)
+    out = np.zeros(scipy.fft.next_fast_len(step * (len(d) - 1) + n))
+    for i, di in enumerate(d):
+        out[i * step:i * step + n] += di * template
+    return waveform.SampledSignal(out, params.f_sim)

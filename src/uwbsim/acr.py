@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .waveform import SampledSignal, ThCode
+from .waveform import ThCode
 
 
 def signal_amplitude(N_f: int, E_g: float) -> float:
@@ -130,11 +130,10 @@ class BlockCorrSamples:
         return np.tril(np.ones((M, M), dtype=bool))
 
 
-def despread_windows(received: SampledSignal, th: ThCode, params,
+def despread_windows(x: np.ndarray, th: ThCode, params,
                      n_windows: int) -> np.ndarray:
-    """Capture windows of the de-spread signal: row i is y(t + i*T_s), t in [0, T_g)."""
+    """Capture windows of the de-spread signal x: row i is y(t + i*T_s), t in [0, T_g)."""
     th.validate(params)
-    x = received.samples
     G = params.to_samples(params.T_g)
     step = params.to_samples(params.T_s)
     offs = [params.to_samples(j * params.T_f + c * params.T_c)
@@ -150,13 +149,13 @@ def despread_windows(received: SampledSignal, th: ThCode, params,
     return out
 
 
-def sample_overlapping(received: SampledSignal, th: ThCode, params,
+def sample_overlapping(received: np.ndarray, th: ThCode, params,
                        N: int, M: int) -> CorrSamples:
     """Overlapping correlation samples Y_{i,m} for i = 1..N, m = 1..M."""
     if M < 1 or N < M:
         raise ValueError("need 1 <= M <= N")
     D = despread_windows(received, th, params, N + 1)
-    dt = 1.0 / received.f_sim
+    dt = params.dt
     Y = np.zeros((N, M))
     mask = pad_mask_for(N, M)
     for i in range(1, N + 1):
@@ -165,7 +164,7 @@ def sample_overlapping(received: SampledSignal, th: ThCode, params,
     return CorrSamples(Y, mask)
 
 
-def sample_block(received: SampledSignal, th: ThCode, params,
+def sample_block(received: np.ndarray, th: ThCode, params,
                  N: int, M: int) -> BlockCorrSamples:
     """Block correlation samples for U = N/M blocks of M symbols."""
     if M < 1:

@@ -88,8 +88,7 @@ def received_pulse(channel: ChannelRealization, params, filtered: bool = False) 
     returned array is aligned so index 0 still corresponds to t = 0; ringing
     ahead of t = 0 is discarded, as it falls outside any capture window).
     """
-    pulse = waveform.SampledSignal(waveform.monocycle(params), params.f_sim)
-    g = waveform.apply_channel(pulse, channel, params).samples
+    g = waveform.apply_channel(waveform.monocycle(params), channel, params)
     if not filtered:
         return g
     pad = params.to_samples(40e-9)

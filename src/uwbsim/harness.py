@@ -22,7 +22,7 @@ packets in rounds of the same size.
 
 import csv
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from itertools import groupby
 
@@ -69,8 +69,6 @@ class ExperimentConfig:
     schemes: tuple = ()
     outer_iters: int = 10
     inner_iters: int = 10
-    variance_factor: int = 1
-    code_seed: int = 1
     trace_snr_db: tuple = ()
     trace_schemes: tuple = ("joint-mmsdd",)
     trace_packets: int = 200
@@ -117,8 +115,6 @@ class ExperimentConfig:
         if self.path == "waveform" and self.n_symbols > 200:
             raise ConfigError("waveform packets above 200 symbols are "
                               "impractically slow; lower n_symbols")
-        if self.variance_factor not in (1, 2):
-            raise ConfigError("likelihood variance factor must be 1 or 2")
         # every window must fit in a packet, and block schemes must tile it
         n_pkt = self.n_coded if self.test_case == 4 else self.n_symbols
         for m in self.m_list:
@@ -129,7 +125,7 @@ class ExperimentConfig:
                 raise ConfigError("block schemes need n_coded divisible by M")
         if self.test_case == 4:
             try:
-                ldpc.default_code(self.k_info, self.n_coded, self.code_seed)
+                ldpc.default_code(self.k_info, self.n_coded)
             except (ValueError, RuntimeError) as e:
                 raise ConfigError(f"no (3,6)-regular code for k_info={self.k_info}, "
                                   f"n_coded={self.n_coded}: {e}") from e
@@ -172,7 +168,7 @@ _INT_LIST_KEYS = {"m_list"}
 _STR_LIST_KEYS = {"schemes", "eg_modes", "trace_schemes"}
 _INT_KEYS = {"test_case", "n_symbols", "k_info", "n_coded", "target_errors",
              "max_bits", "n_packets", "seed", "outer_iters", "inner_iters",
-             "variance_factor", "code_seed", "trace_packets"}
+             "trace_packets"}
 _STR_KEYS = {"path", "channel_mode", "out_dir"}
 
 
@@ -327,13 +323,13 @@ def _write_csv(path, header, rows) -> None:
             w.writerow([_fmt(x) for x in row])
 
 
-_BER_HEADER = ["test_case", "scheme", "m", "eg_mode", "snr_db",
-               "bits_simulated", "bit_errors", "ber", "ci95_halfwidth"]
-
-
-def _ber_rows(tc: int, points) -> list:
-    return [[tc, p.scheme, p.m, p.eg_mode, p.snr_db, p.bits_simulated,
-             p.bit_errors, p.ber, p.ci95_halfwidth] for p in points]
+def _write_records(out_dir, fname, tc: int, cls, records) -> None:
+    """Write records of dataclass `cls` to out_dir/fname: test_case, then
+    the non-array fields of `cls` in declaration order."""
+    names = [f.name for f in fields(cls) if f.type is not np.ndarray]
+    os.makedirs(out_dir, exist_ok=True)
+    _write_csv(os.path.join(out_dir, fname), ["test_case", *names],
+               [[tc, *(getattr(r, n) for n in names)] for r in records])
 
 
 def _ideal_channel(params: SystemParams) -> chmod.ChannelRealization:
@@ -345,11 +341,11 @@ def _ideal_channel(params: SystemParams) -> chmod.ChannelRealization:
 def _waveform_packet(a, params: SystemParams, th, ch, N0, rng,
                      M: int, block: bool = False):
     """Simulate one packet through the waveform chain and sample it."""
-    sig = waveform.add_awgn_and_filter(
+    r = waveform.add_awgn_and_filter(
         waveform.transmit(txchain.differential_modulate(a), params, th, ch),
         N0, params, rng)
     sample = acr.sample_block if block else acr.sample_overlapping
-    return sample(sig, th, params, len(a), M)
+    return sample(r, th, params, len(a), M)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +365,6 @@ def run_testcase1(cfg: ExperimentConfig, out_dir=None) -> list[NoiseStats]:
     M = int(cfg.m_list[0])
     results = []
     hist_rows = []
-    moment_rows = []
     for p_idx, snr in enumerate(cfg.snr_db):
         ch_rng = _packet_rng(cfg.seed, cfg.test_case, p_idx, "channel",
                              M, "perfect", 0)
@@ -409,8 +404,6 @@ def run_testcase1(cfg: ExperimentConfig, out_dir=None) -> list[NoiseStats]:
                          ks_stat=float(ks), hist_edges=edges,
                          hist_counts=counts)
         results.append(res)
-        moment_rows.append([cfg.test_case, snr, res.n_samples, res.mean,
-                            res.variance, res.sigma_n_sq_theory, res.ks_stat])
         width = edges[1] - edges[0]
         for b in range(len(counts)):
             center = 0.5 * (edges[b] + edges[b + 1])
@@ -420,10 +413,8 @@ def run_testcase1(cfg: ExperimentConfig, out_dir=None) -> list[NoiseStats]:
                               int(counts[b]),
                               counts[b] / (noise.size * width), theory])
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        _write_csv(os.path.join(out_dir, "tc1_moments.csv"),
-                   ["test_case", "snr_db", "n_samples", "mean", "variance",
-                    "sigma_n_sq_theory", "ks_stat"], moment_rows)
+        _write_records(out_dir, "tc1_moments.csv", cfg.test_case,
+                       NoiseStats, results)
         _write_csv(os.path.join(out_dir, "tc1_hist.csv"),
                    ["test_case", "snr_db", "bin_left", "bin_right", "count",
                     "density", "theory_density"], hist_rows)
@@ -471,12 +462,8 @@ def run_testcase2(cfg: ExperimentConfig, out_dir=None) -> list[MsePoint]:
             ci = 1.96 * float(sq[m].std(ddof=1) / np.sqrt(cfg.n_packets))
             points.append(MsePoint(snr, m, cfg.n_packets, mse, ci))
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        _write_csv(os.path.join(out_dir, "tc2_mse.csv"),
-                   ["test_case", "snr_db", "m", "n_packets", "mse",
-                    "ci95_halfwidth"],
-                   [[cfg.test_case, p.snr_db, p.m, p.n_packets, p.mse,
-                     p.ci95_halfwidth] for p in points])
+        _write_records(out_dir, "tc2_mse.csv", cfg.test_case, MsePoint,
+                       points)
     return points
 
 
@@ -569,11 +556,11 @@ def _uncoded_packet(cfg, params, n_use, point, pkt):
     return a, (samples, model)
 
 
-def _detect_uncoded(scheme, m, variance_factor, packets):
+def _detect_uncoded(scheme, m, packets):
     if scheme == "mmsdd":
         return detect_mmsdd([s for s, _ in packets], m,
                             [d.amplitude for _, d in packets],
-                            [d.sigma_n_sq for _, d in packets], variance_factor)
+                            [d.sigma_n_sq for _, d in packets])
     detect = detect_dd if scheme == "dd" else bmsdd_detect
     return [detect(s) for s, _ in packets]
 
@@ -586,7 +573,7 @@ def _uncoded_points(cfg, params, scheme, m, keys) -> list:
         raise ConfigError(f"{scheme} M={m} packets carry no bits")
     return _ber_points(cfg, keys, n_use, _round_cap(n_use, m),
                        partial(_uncoded_packet, cfg, params, n_use),
-                       partial(_detect_uncoded, scheme, m, cfg.variance_factor))
+                       partial(_detect_uncoded, scheme, m))
 
 
 def _tc3_combos(cfg) -> list:
@@ -607,9 +594,8 @@ def run_testcase3(cfg: ExperimentConfig, out_dir=None) -> list[BerPoint]:
     points = _grouped_points(cfg, _tc3_combos(cfg),
                              partial(_uncoded_points, cfg, SystemParams()))
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        _write_csv(os.path.join(out_dir, "tc3_ber.csv"), _BER_HEADER,
-                   _ber_rows(cfg.test_case, points))
+        _write_records(out_dir, "tc3_ber.csv", cfg.test_case, BerPoint,
+                       points)
     return points
 
 
@@ -644,7 +630,6 @@ def _decode_round(cfg, code, packets, trace=False):
     return jointmod.run_joint(samples, code, imaps, models,
                               outer_iters=cfg.outer_iters,
                               inner_iters=cfg.inner_iters,
-                              variance_factor=cfg.variance_factor,
                               early_exit=not trace,
                               true_coded_bits=cws if trace else None)
 
@@ -691,7 +676,7 @@ def run_testcase4(cfg: ExperimentConfig, out_dir=None):
     """
     cfg.validate()
     params = SystemParams()
-    code = ldpc.default_code(cfg.k_info, cfg.n_coded, cfg.code_seed)
+    code = ldpc.default_code(cfg.k_info, cfg.n_coded)
     combos = [(scheme, int(m), eg) for scheme in cfg.schemes
               for m in cfg.m_list for eg in cfg.eg_modes]
     points = _grouped_points(cfg, combos,
@@ -705,14 +690,8 @@ def run_testcase4(cfg: ExperimentConfig, out_dir=None):
                                            int(m), cfg.eg_modes[0], snr))
                 t_idx += 1
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        _write_csv(os.path.join(out_dir, "tc4_ber.csv"), _BER_HEADER,
-                   _ber_rows(cfg.test_case, points))
-        _write_csv(os.path.join(out_dir, "tc4_trace.csv"),
-                   ["test_case", "scheme", "m", "eg_mode", "snr_db",
-                    "outer_iter", "n_packets", "p_c_msdd", "p_c_dec",
-                    "checks_satisfied_frac"],
-                   [[cfg.test_case, t.scheme, t.m, t.eg_mode, t.snr_db,
-                     t.outer_iter, t.n_packets, t.p_c_msdd, t.p_c_dec,
-                     t.checks_satisfied_frac] for t in traces])
+        _write_records(out_dir, "tc4_ber.csv", cfg.test_case, BerPoint,
+                       points)
+        _write_records(out_dir, "tc4_trace.csv", cfg.test_case, TracePoint,
+                       traces)
     return points, traces

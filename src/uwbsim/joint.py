@@ -44,22 +44,20 @@ class JointResult:
     converged: bool
 
 
-def _detector_extrinsics(samples, priors, models, variance_factor):
+def _detector_extrinsics(samples, priors, models):
     """Detector extrinsic gamma of each packet, symbol order."""
     if isinstance(samples[0], CorrSamples):
         _, gamma = msdd_app(samples, samples[0].window,
                             [d.amplitude for d in models],
-                            [d.sigma_n_sq for d in models], priors=priors,
-                            variance_factor=variance_factor)
+                            [d.sigma_n_sq for d in models], priors=priors)
         return gamma
-    return [bmsdd_extrinsic(s, p, d.amplitude, d.sigma_n_sq, variance_factor)
+    return [bmsdd_extrinsic(s, p, d.amplitude, d.sigma_n_sq)
             for s, p, d in zip(samples, priors, models)]
 
 
 def run_joint(samples, code: ldpc.LdpcCode, imaps, models,
               outer_iters: int = 10, inner_iters: int = 10,
-              variance_factor: int = 1, early_exit: bool = True,
-              true_coded_bits=None) -> JointResult:
+              early_exit: bool = True, true_coded_bits=None) -> JointResult:
     """Run the serial schedule on a round of packets and decode each.
 
     samples, imaps and models hold one entry per packet.  The samples pick
@@ -93,8 +91,7 @@ def run_joint(samples, code: ldpc.LdpcCode, imaps, models,
         t += 1
         priors_sym = [interleave(zeta[j], imaps[j]) for j in live]
         gammas = _detector_extrinsics([samples[j] for j in live], priors_sym,
-                                      [models[j] for j in live],
-                                      variance_factor)
+                                      [models[j] for j in live])
         for j, gamma_sym in zip(live, gammas):
             gamma_code = deinterleave(gamma_sym, imaps[j])
             res[j] = ldpc.decode(code, beliefs.to_llr(gamma_code),

@@ -17,6 +17,9 @@ import numpy as np
 # messages clipped so tanh/atanh stay away from +-1
 _MSG_CLIP = 30.0
 _PROD_EPS = 1e-15
+# every code is (3,6)-regular; construction gives up after this many draws
+_COL_W, _ROW_W = 3, 6
+_MAX_ATTEMPTS = 50
 
 
 @dataclass(frozen=True)
@@ -106,24 +109,21 @@ def _gf2_rref(A: np.ndarray):
     return A, np.asarray(pivots, dtype=np.int64)
 
 
-def _try_build_H(n: int, n_rows: int, col_w: int, row_w: int, rng):
+def _try_build_H(n: int, n_rows: int, rng):
     """One attempt at a regular 4-cycle-free matrix; None on dead end."""
-    cap = np.full(n_rows, row_w, dtype=np.int64)
+    cap = np.full(n_rows, _ROW_W, dtype=np.int64)
     used_pairs = set()
-    col_rows = np.empty((n, col_w), dtype=np.int64)
+    col_rows = np.empty((n, _COL_W), dtype=np.int64)
     for j in range(n):
         placed = False
         for _ in range(400):
             avail = np.nonzero(cap)[0]
-            if avail.size < col_w:
+            if avail.size < _COL_W:
                 return None
             w = cap[avail].astype(float)
-            pick = rng.choice(avail, size=col_w, replace=False, p=w / w.sum())
-            pairs = [frozenset(p) for p in
-                     [(pick[0], pick[1]), (pick[0], pick[2]), (pick[1], pick[2])]] \
-                if col_w == 3 else \
-                    [frozenset((pick[a], pick[b]))
-                     for a in range(col_w) for b in range(a + 1, col_w)]
+            pick = rng.choice(avail, size=_COL_W, replace=False, p=w / w.sum())
+            pairs = [frozenset((pick[a], pick[b]))
+                     for a in range(_COL_W) for b in range(a + 1, _COL_W)]
             if any(p in used_pairs for p in pairs):
                 continue
             used_pairs.update(pairs)
@@ -139,16 +139,14 @@ def _try_build_H(n: int, n_rows: int, col_w: int, row_w: int, rng):
     return H
 
 
-def construct_regular(k: int = 800, n: int = 1600, seed: int = 1,
-                      col_w: int = 3, row_w: int = 6,
-                      max_attempts: int = 50) -> LdpcCode:
-    """Build a seeded (col_w,row_w)-regular full-rank code without 4-cycles."""
+def construct_regular(k: int = 800, n: int = 1600, seed: int = 1) -> LdpcCode:
+    """Build a seeded (3,6)-regular full-rank code without 4-cycles."""
     n_rows = n - k
-    if n * col_w != n_rows * row_w:
+    if n * _COL_W != n_rows * _ROW_W:
         raise ValueError("degree sequence is inconsistent with (k, n)")
     rng = np.random.default_rng(seed)
-    for _ in range(max_attempts):
-        H = _try_build_H(n, n_rows, col_w, row_w, rng)
+    for _ in range(_MAX_ATTEMPTS):
+        H = _try_build_H(n, n_rows, rng)
         if H is None:
             continue
         rref, pivots = _gf2_rref(H)
@@ -164,11 +162,11 @@ def construct_regular(k: int = 800, n: int = 1600, seed: int = 1,
 _default_code: dict[tuple, LdpcCode] = {}
 
 
-def default_code(k: int = 800, n: int = 1600, seed: int = 1) -> LdpcCode:
-    """Cached standard code used by the experiment harness."""
-    key = (k, n, seed)
+def default_code(k: int = 800, n: int = 1600) -> LdpcCode:
+    """Cached standard code used by the experiment harness (seed 1)."""
+    key = (k, n)
     if key not in _default_code:
-        _default_code[key] = construct_regular(k, n, seed)
+        _default_code[key] = construct_regular(k, n, 1)
     return _default_code[key]
 
 

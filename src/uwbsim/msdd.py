@@ -12,10 +12,10 @@ hypotheses of a block explicitly; its soft output lambda likewise excludes the
 symbol's own prior.  The plain DD baseline just takes the sign of the
 adjacent-symbol correlation.
 
-The squared residual in the likelihood is divided by variance_factor * sigma^2
-with variance_factor defaulting to 1 (not the conventional 2); a consistent
-factor cancels from the detector's own posteriors but shifts the sharpness of
-the soft outputs handed to a decoder, so it is exposed as a knob.
+The squared residual in the likelihood is divided by sigma^2, not the
+conventional 2 sigma^2.  A constant factor would cancel from the detector's
+own posteriors, but it sets the sharpness of the soft outputs handed to a
+decoder, so every result depends on this fixed scale.
 """
 
 import functools
@@ -32,8 +32,7 @@ _TINY = np.finfo(float).tiny
 
 
 def log_evidence_matrix(samples: CorrSamples, amplitude: float,
-                        sigma_sq: float, variance_factor: int = 1
-                        ) -> np.ndarray:
+                        sigma_sq: float) -> np.ndarray:
     """log p(Y_i | S_i) for every step and state, shape (N, 2^M).
 
     The squared residual is expanded so the state axis only enters through
@@ -48,7 +47,7 @@ def log_evidence_matrix(samples: CorrSamples, amplitude: float,
     const = np.sum(kY * Y, axis=1) + amplitude ** 2 * keep.sum(axis=1)
     cross = kY @ _state_signs(samples.window).T
     se = const[:, None] - 2.0 * amplitude * cross
-    return -se / (variance_factor * sigma_sq)
+    return -se / sigma_sq
 
 
 def _log_priors(priors, n: int) -> np.ndarray:
@@ -149,8 +148,8 @@ def _merge_log(la: np.ndarray, lb: np.ndarray, logE: np.ndarray) -> np.ndarray:
     return lg
 
 
-def msdd_app(samples, M: int, amplitude, sigma_sq, priors=None,
-             variance_factor: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def msdd_app(samples, M: int, amplitude, sigma_sq,
+             priors=None) -> tuple[np.ndarray, np.ndarray]:
     """Sliding-window detection of a stack of packets; returns (app, gamma).
 
     samples is a sequence of B equal-length CorrSamples; amplitude and
@@ -164,7 +163,7 @@ def msdd_app(samples, M: int, amplitude, sigma_sq, priors=None,
     B = len(samples)
     amplitude = np.broadcast_to(amplitude, B)
     sigma_sq = np.broadcast_to(sigma_sq, B)
-    logE = np.stack([log_evidence_matrix(s, a, v, variance_factor)
+    logE = np.stack([log_evidence_matrix(s, a, v)
                      for s, a, v in zip(samples, amplitude, sigma_sq)], axis=1)
     N = logE.shape[0]
     if priors is None:
@@ -178,12 +177,10 @@ def msdd_app(samples, M: int, amplitude, sigma_sq, priors=None,
     return app.transpose(1, 0, 2), gamma.transpose(1, 0, 2)
 
 
-def detect_mmsdd(samples, M: int, amplitude, sigma_sq,
-                 variance_factor: int = 1) -> np.ndarray:
+def detect_mmsdd(samples, M: int, amplitude, sigma_sq) -> np.ndarray:
     """Hard sliding-window decisions under uniform priors, (B, N), for a
     stack of packets as msdd_app takes them."""
-    app, _ = msdd_app(samples, M, amplitude, sigma_sq,
-                      variance_factor=variance_factor)
+    app, _ = msdd_app(samples, M, amplitude, sigma_sq)
     return beliefs.hard(app)
 
 
@@ -224,8 +221,8 @@ def _block_tables(M: int):
     return bits, signs3, valid
 
 
-def _block_loglik(blocks: BlockCorrSamples, amplitude: float, sigma_sq: float,
-                  variance_factor: int = 1) -> np.ndarray:
+def _block_loglik(blocks: BlockCorrSamples, amplitude: float,
+                  sigma_sq: float) -> np.ndarray:
     """log p(block u | hypothesis h), shape (U, 2^M)."""
     if sigma_sq <= 0:
         raise ValueError("sigma_sq must be positive")
@@ -233,17 +230,17 @@ def _block_loglik(blocks: BlockCorrSamples, amplitude: float, sigma_sq: float,
     _, signs3, valid = _block_tables(M)
     resid = blocks.values[:, None, :, :] - amplitude * signs3[None, :, :, :]
     se = np.einsum("uhrc,rc->uh", resid ** 2, valid.astype(float))
-    return -se / (variance_factor * sigma_sq)
+    return -se / sigma_sq
 
 
 def bmsdd_extrinsic(blocks: BlockCorrSamples, priors, amplitude: float,
-                    sigma_sq: float, variance_factor: int = 1) -> np.ndarray:
+                    sigma_sq: float) -> np.ndarray:
     """Per-symbol extrinsic lambda from independent block enumeration."""
     M = blocks.block_size
     U = blocks.n_blocks
     N = U * M
     bits, _, _ = _block_tables(M)
-    ll = _block_loglik(blocks, amplitude, sigma_sq, variance_factor)
+    ll = _block_loglik(blocks, amplitude, sigma_sq)
     logp = _log_priors(priors, N).reshape(U, M, 2)
     # per-hypothesis prior mass of the whole block, then remove own symbol
     lp_h = logp[:, np.arange(M)[None, :], bits[:, :]].sum(axis=2)

@@ -25,21 +25,7 @@ def _log_prior_table(priors, n):
     return np.log(np.maximum(np.asarray(priors, dtype=float), _TINY))
 
 
-def evidence(y_row, pad_row, state: int, amplitude: float, sigma_sq: float,
-             variance_factor: int = 1) -> float:
-    """Likelihood factor p(Y_i | S_i = state) in (0, 1]; bit k of state set
-    means a_{i-k} = -1, and padded samples contribute 1."""
-    lw = 0.0
-    prod = 1
-    for m in range(1, len(y_row) + 1):
-        prod *= -1 if (state >> (m - 1)) & 1 else 1
-        if not pad_row[m - 1]:
-            r = y_row[m - 1] - amplitude * prod
-            lw -= r * r / (variance_factor * sigma_sq)
-    return float(np.exp(lw))
-
-
-def _sequence_logweight(a, samples, M, amplitude, sigma_sq, logp, variance_factor):
+def _sequence_logweight(a, samples, M, amplitude, sigma_sq, logp):
     """Joint log weight of one full symbol sequence, straight from the model."""
     lw = 0.0
     for i in range(1, len(a) + 1):
@@ -51,19 +37,18 @@ def _sequence_logweight(a, samples, M, amplitude, sigma_sq, logp, variance_facto
             for l in range(m):
                 prod *= a[i - 1 - l]
             r = samples.values[i - 1, m - 1] - amplitude * prod
-            lw -= r * r / (variance_factor * sigma_sq)
+            lw -= r * r / sigma_sq
     return lw
 
 
 def app_marginals_bruteforce(samples: CorrSamples, M: int, amplitude: float,
-                             sigma_sq: float, priors=None,
-                             variance_factor: int = 1) -> np.ndarray:
+                             sigma_sq: float, priors=None) -> np.ndarray:
     """Posterior symbol marginals by summing over all 2^N sequences."""
     N = samples.n_symbols
     logp = _log_prior_table(priors, N)
     seqs = list(itertools.product((1, -1), repeat=N))
     lw = np.array([_sequence_logweight(a, samples, M, amplitude, sigma_sq,
-                                       logp, variance_factor) for a in seqs])
+                                       logp) for a in seqs])
     out = np.empty((N, 2))
     for i in range(N):
         for col, b in enumerate((1, -1)):
@@ -74,50 +59,8 @@ def app_marginals_bruteforce(samples: CorrSamples, M: int, amplitude: float,
     return beliefs.from_log(out)
 
 
-def forward_state_marginals_bruteforce(samples: CorrSamples, M: int,
-                                       amplitude: float, sigma_sq: float,
-                                       priors=None, variance_factor: int = 1
-                                       ) -> np.ndarray:
-    """Filtering distributions p(S_i | Y_1..Y_i) by prefix enumeration."""
-    N = samples.n_symbols
-    S = 1 << M
-    logp = _log_prior_table(priors, N)
-    out = np.zeros((N + 1, S))
-    out[0, 0] = 1.0
-    for i in range(1, N + 1):
-        weights = []
-        states = []
-        for prefix in itertools.product((1, -1), repeat=i):
-            lw = 0.0
-            for j in range(1, i + 1):
-                lw += logp[j - 1, 0 if prefix[j - 1] == 1 else 1]
-                for m in range(1, M + 1):
-                    if samples.pad_mask[j - 1, m - 1]:
-                        continue
-                    prod = 1
-                    for l in range(m):
-                        prod *= prefix[j - 1 - l]
-                    r = samples.values[j - 1, m - 1] - amplitude * prod
-                    lw -= r * r / (variance_factor * sigma_sq)
-            state = 0
-            for k in range(M):
-                sym = prefix[i - 1 - k] if i - 1 - k >= 0 else 1
-                if sym == -1:
-                    state |= 1 << k
-            weights.append(lw)
-            states.append(state)
-        weights = np.array(weights)
-        acc = np.zeros(S)
-        shift = weights.max()
-        for lw, state in zip(weights, states):
-            acc[state] += np.exp(lw - shift)
-        out[i] = acc / acc.sum()
-    return out
-
-
 def block_extrinsic_bruteforce(blocks: BlockCorrSamples, priors, amplitude: float,
-                               sigma_sq: float, variance_factor: int = 1
-                               ) -> np.ndarray:
+                               sigma_sq: float) -> np.ndarray:
     """Per-symbol block extrinsics by explicit hypothesis enumeration."""
     M = blocks.block_size
     U = blocks.n_blocks
@@ -134,7 +77,7 @@ def block_extrinsic_bruteforce(blocks: BlockCorrSamples, priors, amplitude: floa
                     for t in range(c, r + 1):
                         prod *= x[t]
                     resid = blocks.values[u, r, c] - amplitude * prod
-                    lw -= resid * resid / (variance_factor * sigma_sq)
+                    lw -= resid * resid / sigma_sq
             ll.append(lw)
         ll = np.array(ll)
         for t in range(M):

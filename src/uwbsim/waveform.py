@@ -1,7 +1,8 @@
 """Pulse shaping, time hopping, and waveform-level transmit/receive operations.
 
-All waveforms live on a uniform grid at params.f_sim.  Integrals are Riemann
-sums weighted by dt, so a unit-energy pulse satisfies sum(w**2) * dt == 1.
+All waveforms are plain arrays on the uniform grid at params.f_sim.  Integrals
+are Riemann sums weighted by params.dt, so a unit-energy pulse satisfies
+sum(w**2) * dt == 1.
 """
 
 import bisect
@@ -12,12 +13,6 @@ import numpy as np
 # ratio T_omega / sigma of the Gaussian doublet; 7 keeps 99.98% of the
 # untruncated pulse energy inside the [0, T_omega] support
 SHAPE_RATIO = 7.0
-
-
-@dataclass
-class SampledSignal:
-    samples: np.ndarray
-    f_sim: float
 
 
 @dataclass
@@ -58,7 +53,7 @@ def monocycle(params) -> np.ndarray:
 
 
 def transmit(diff_symbols: np.ndarray, params, th: ThCode,
-             channel) -> SampledSignal:
+             channel) -> np.ndarray:
     """Noiseless received signal of d_0..d_N through `channel`.
 
     The channel's pulse response g is rendered once and written, d_i-weighted,
@@ -78,28 +73,26 @@ def transmit(diff_symbols: np.ndarray, params, th: ThCode,
             for j, c in enumerate(th.chips)]
     if max(offs) + len(pulse) > step:
         raise ValueError("hopped pulse spills out of its frame")
-    g = apply_channel(SampledSignal(pulse, params.f_sim), channel,
-                      params).samples
+    g = apply_channel(pulse, channel, params)
     out = np.zeros(scipy.fft.next_fast_len(
         step * len(d) + len(g) - len(pulse)))
     for i, di in enumerate(d):
         for k in offs:
             out[i * step + k:i * step + k + len(g)] += di * g
-    return SampledSignal(out, params.f_sim)
+    return out
 
 
-def apply_channel(sig: SampledSignal, channel, params) -> SampledSignal:
+def apply_channel(x: np.ndarray, channel, params) -> np.ndarray:
     """Delay-and-sum of the channel taps, delays snapped to the grid."""
     delays = np.asarray(channel.delays, dtype=float)
     gains = np.asarray(channel.gains, dtype=float)
     if np.any(delays > params.T_g):
         raise ValueError("channel tap beyond T_g; truncate the realization first")
     idx = np.round(delays * params.f_sim).astype(int)
-    x = sig.samples
     out = np.zeros(len(x) + (int(idx.max()) if len(idx) else 0))
     for k, g in zip(idx, gains):
         out[k:k + len(x)] += g * x
-    return SampledSignal(out, sig.f_sim)
+    return out
 
 
 def brickwall_lowpass(x: np.ndarray, f_sim: float, W: float) -> np.ndarray:
@@ -112,16 +105,14 @@ def brickwall_lowpass(x: np.ndarray, f_sim: float, W: float) -> np.ndarray:
     return np.fft.irfft(spec, n=len(x))
 
 
-def add_awgn_and_filter(sig: SampledSignal, N0: float, params,
-                        rng: np.random.Generator | None = None) -> SampledSignal:
+def add_awgn_and_filter(x: np.ndarray, N0: float, params,
+                        rng: np.random.Generator | None = None) -> np.ndarray:
     """Add white noise of two-sided PSD N0/2, then apply the front-end low-pass."""
     if N0 < 0:
         raise ValueError("N0 must be nonnegative")
-    x = sig.samples
     if N0 > 0:
         if rng is None:
             raise ValueError("rng required when N0 > 0")
         noise = rng.normal(0.0, np.sqrt(N0 * params.f_sim / 2.0), len(x))
         x = np.add(noise, x, out=noise)
-    return SampledSignal(brickwall_lowpass(x, params.f_sim, params.W),
-                         sig.f_sim)
+    return brickwall_lowpass(x, params.f_sim, params.W)

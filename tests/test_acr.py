@@ -16,7 +16,7 @@ def _noiseless_received(a, th):
     sig = waveform.transmit(d, P, th, ChannelRealization([0.0], [1.0]))
     # leave headroom for the last capture window
     tail = np.zeros(P.to_samples(P.T_g) + P.to_samples(P.T_f))
-    return waveform.SampledSignal(np.concatenate([sig.samples, tail]), P.f_sim)
+    return np.concatenate([sig, tail])
 
 
 def test_noise_variance_formula_value():
@@ -107,11 +107,11 @@ def test_despread_single_frame_is_identity():
     p1 = SystemParams(N_f=1)
     th = waveform.ThCode(np.array([0]))
     rng = np.random.default_rng(4)
-    r = waveform.SampledSignal(rng.normal(size=10000), p1.f_sim)
+    r = rng.normal(size=10000)
     win = acr.despread_windows(r, th, p1, 2)
     step, G = p1.to_samples(p1.T_s), p1.to_samples(p1.T_g)
     for i in range(2):
-        assert np.array_equal(win[i], r.samples[i * step:i * step + G])
+        assert np.array_equal(win[i], r[i * step:i * step + G])
 
 
 def test_despread_coherent_sum_over_frames():
@@ -137,7 +137,7 @@ def test_despread_window_energy():
 
 def test_despread_rejects_short_signal():
     th = waveform.ThCode(np.zeros(P.N_f, dtype=int))
-    r = waveform.SampledSignal(np.zeros(100), P.f_sim)
+    r = np.zeros(100)
     with pytest.raises(ValueError):
         acr.despread_windows(r, th, P, 1)
 
@@ -197,7 +197,7 @@ def test_despread_matches_per_window_loop(cm2_packet):
     want = np.zeros((61, G))
     for i in range(61):
         for k in offs:
-            want[i] += sig.samples[i * step + k:i * step + k + G]
+            want[i] += sig[i * step + k:i * step + k + G]
     assert acr.despread_windows(sig, th, P, 61).tobytes() == want.tobytes()
 
 
@@ -207,7 +207,7 @@ def test_sample_block_matches_pairwise_loop(cm2_packet, M):
     sig, th = cm2_packet
     N = 60
     D = acr.despread_windows(sig, th, P, N + 1)
-    dt = 1.0 / sig.f_sim
+    dt = P.dt
     want = np.zeros((N // M, M, M))
     for u in range(N // M):
         for r in range(M):

@@ -5,7 +5,7 @@ import signal
 import subprocess
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
@@ -13,9 +13,9 @@ import pytest
 
 import uwbsim
 from uwbsim import beliefs, cli, harness, joint, ldpc, msdd
-from uwbsim.harness import (BerPoint, ConfigError, apply_overrides,
-                            default_config, load_config_file, n0_for_snr,
-                            resolve_out_dir)
+from uwbsim.harness import (BerPoint, ConfigError, ExperimentConfig,
+                            apply_overrides, default_config, load_config_file,
+                            n0_for_snr, resolve_out_dir)
 from uwbsim.params import SystemParams
 
 from required_snr import interpolate_required_snr
@@ -47,7 +47,6 @@ def test_default_configs_validate():
     dict(channel_mode="cm9"),
     dict(eg_modes=("oracle",)),
     dict(schemes=("ml",)),
-    dict(variance_factor=3),
     dict(m_list=(11,)),
     dict(n_symbols=0),
     dict(outer_iters=0),        # the turbo loop raised a raw ValueError
@@ -209,6 +208,26 @@ def test_override_errors():
     assert apply_overrides(cfg, {"seed": None}).seed == cfg.seed
 
 
+@pytest.mark.parametrize("key", ["variance_factor", "code_seed"])
+def test_removed_config_keys_are_refused(key, tmp_path, capsys):
+    # the likelihood scale and the code seed are fixed; a file that still
+    # names them is refused rather than silently ignored
+    with pytest.raises(ConfigError, match="unknown config key"):
+        apply_overrides(default_config(4), {key: "1"})
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key} = 1\n")
+    out = tmp_path / "out"
+    assert cli.main(["tc4", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert "unknown config key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_keys_mirror_config_fields():
+    keys = (harness._FLOAT_LIST_KEYS | harness._INT_LIST_KEYS
+            | harness._STR_LIST_KEYS | harness._INT_KEYS | harness._STR_KEYS)
+    assert keys == {f.name for f in fields(ExperimentConfig)}
+
+
 def test_out_dir_precedence(monkeypatch):
     cfg = replace(default_config(3), out_dir="from_cfg")
     monkeypatch.delenv("UWBSIM_OUT", raising=False)
@@ -365,7 +384,8 @@ def test_ber_csv_reruns_byte_identical(tmp_path):
     b1 = (d1 / "tc3_ber.csv").read_bytes()
     assert b1 == (d2 / "tc3_ber.csv").read_bytes()
     header = b1.decode().splitlines()[0]
-    assert header == ",".join(harness._BER_HEADER)
+    assert header.split(",") == ["test_case",
+                                 *(f.name for f in fields(BerPoint))]
 
 
 def _sequential_tc3(cfg):
@@ -404,10 +424,9 @@ def _sequential_tc4(cfg):
     then each trace packet alone.  Returns (points, traces) and the number
     of packets made."""
     params = SystemParams()
-    code = ldpc.default_code(cfg.k_info, cfg.n_coded, cfg.code_seed)
+    code = ldpc.default_code(cfg.k_info, cfg.n_coded)
     run = partial(joint.run_joint, code=code, outer_iters=cfg.outer_iters,
-                  inner_iters=cfg.inner_iters,
-                  variance_factor=cfg.variance_factor)
+                  inner_iters=cfg.inner_iters)
     points, made = [], 0
     for p_idx, snr in enumerate(cfg.snr_db):
         for scheme in cfg.schemes:

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from uwbsim import acr, beliefs, msdd, reference
 from uwbsim.params import SystemParams
 
+from msdd_reference import evidence, forward_state_marginals_bruteforce
+
 P = SystemParams()
 
 
@@ -103,8 +105,8 @@ def test_log_evidence_matrix_matches_scalar_evidence():
                                     model.sigma_n_sq)
     for i in range(6):
         for s in range(8):
-            want = reference.evidence(samples.values[i], samples.pad_mask[i],
-                                      s, model.amplitude, model.sigma_n_sq)
+            want = evidence(samples.values[i], samples.pad_mask[i], s,
+                            model.amplitude, model.sigma_n_sq)
             assert np.exp(logE[i, s]) == pytest.approx(want, rel=1e-9)
 
 
@@ -132,7 +134,7 @@ def test_forward_matches_prefix_enumeration():
     a, samples, model, priors = _instance(1, n=8, m=2)
     alpha, _ = _sweep_rows(samples, priors, 2, model.amplitude,
                            model.sigma_n_sq)
-    want = reference.forward_state_marginals_bruteforce(
+    want = forward_state_marginals_bruteforce(
         samples, 2, model.amplitude, model.sigma_n_sq, priors)
     assert np.allclose(alpha, want, rtol=1e-9, atol=1e-12)
 

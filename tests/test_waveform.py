@@ -19,7 +19,7 @@ def _energy(x: np.ndarray, f_sim: float) -> float:
 
 def _one_symbol(params, th) -> np.ndarray:
     """One symbol's pulse train, as transmit renders it through a unit tap."""
-    return waveform.transmit(np.array([1]), params, th, UNIT_TAP).samples
+    return waveform.transmit(np.array([1]), params, th, UNIT_TAP)
 
 
 def test_monocycle_unit_energy():
@@ -90,9 +90,9 @@ def test_transmit_reference_only():
     ws = symbol_waveform(P, th)
     sig = waveform.transmit(np.array([1]), P, th, UNIT_TAP)
     n = P.to_samples(P.T_s)
-    assert len(sig.samples) >= n
-    assert np.allclose(sig.samples[:n], ws.samples)
-    assert np.all(sig.samples[n:] == 0.0)
+    assert len(sig) >= n
+    assert np.allclose(sig[:n], ws)
+    assert np.all(sig[n:] == 0.0)
 
 
 def test_transmit_all_plus_one_is_periodic():
@@ -101,9 +101,9 @@ def test_transmit_all_plus_one_is_periodic():
     d = np.ones(4, dtype=int)
     sig = waveform.transmit(d, P, th, UNIT_TAP)
     n = P.to_samples(P.T_s)
-    first = sig.samples[:n]
+    first = sig[:n]
     for i in range(1, 4):
-        assert np.allclose(sig.samples[i * n:(i + 1) * n], first)
+        assert np.allclose(sig[i * n:(i + 1) * n], first)
 
 
 def test_transmit_segment_signs_match_symbols():
@@ -115,8 +115,8 @@ def test_transmit_segment_signs_match_symbols():
     ws = symbol_waveform(P, th)
     n = P.to_samples(P.T_s)
     for i, di in enumerate(d):
-        seg = sig.samples[i * n:(i + 1) * n]
-        corr = float(seg @ ws.samples[:n])
+        seg = sig[i * n:(i + 1) * n]
+        corr = float(seg @ ws[:n])
         assert np.sign(corr) == di
 
 
@@ -125,7 +125,7 @@ def test_transmit_energy_accounting():
     th = waveform.ThCode.random(P, rng)
     d = txchain.differential_modulate(np.array([1, -1, 1]))
     sig = waveform.transmit(d, P, th, UNIT_TAP)
-    assert _energy(sig.samples, P.f_sim) == pytest.approx(
+    assert _energy(sig, P.f_sim) == pytest.approx(
         len(d) * P.N_f * 1.0, rel=1e-6)
 
 
@@ -137,9 +137,9 @@ def test_transmit_through_channel_equals_channel_of_transmit():
     d = txchain.differential_modulate(np.array([1, -1, -1, 1]))
     ch = ChannelRealization(np.array([0.0, 3e-9, 40e-9]),
                             np.array([0.7, -0.4, 0.2]))
-    got = waveform.transmit(d, P, th, ch).samples
+    got = waveform.transmit(d, P, th, ch)
     want = waveform.apply_channel(waveform.transmit(d, P, th, UNIT_TAP),
-                                  ch, P).samples
+                                  ch, P)
     n = min(len(got), len(want))
     assert np.allclose(got[:n], want[:n], atol=1e-12)
     assert np.all(got[n:] == 0.0) and np.all(want[n:] == 0.0)
@@ -155,8 +155,8 @@ def test_transmit_matches_full_train_rendering(seed, n_symbols, cm2):
     ch = generate_cm2(P, rng) if cm2 else UNIT_TAP
     th = waveform.ThCode.random(P, rng)
     d = rng.choice([-1, 1], n_symbols)
-    got = waveform.transmit(d, P, th, ch).samples
-    want = transmit_full_train(d, P, th, ch).samples
+    got = waveform.transmit(d, P, th, ch)
+    want = transmit_full_train(d, P, th, ch)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -174,7 +174,7 @@ def test_apply_channel_identity_tap():
     sig = symbol_waveform(P, th)
     ch = ChannelRealization(np.array([0.0]), np.array([1.0]))
     out = waveform.apply_channel(sig, ch, P)
-    assert np.allclose(out.samples[:len(sig.samples)], sig.samples)
+    assert np.allclose(out[:len(sig)], sig)
 
 
 def test_apply_channel_scaled_delayed_copy():
@@ -184,24 +184,21 @@ def test_apply_channel_scaled_delayed_copy():
     ch = ChannelRealization(np.array([5e-9]), np.array([0.5]))
     out = waveform.apply_channel(sig, ch, P)
     k = P.to_samples(5e-9)
-    assert np.allclose(out.samples[k:k + len(sig.samples)], 0.5 * sig.samples)
-    assert np.allclose(out.samples[:k], 0.0)
+    assert np.allclose(out[k:k + len(sig)], 0.5 * sig)
+    assert np.allclose(out[:k], 0.0)
 
 
 def test_apply_channel_linearity():
     rng = np.random.default_rng(7)
     th = waveform.ThCode.random(P, rng)
     s1 = symbol_waveform(P, th)
-    s2 = waveform.SampledSignal(rng.normal(size=len(s1.samples)), P.f_sim)
+    s2 = rng.normal(size=len(s1))
     ch = ChannelRealization(np.array([0.0, 3e-9, 40e-9]),
                             np.array([0.7, -0.4, 0.2]))
-    lhs = waveform.apply_channel(
-        waveform.SampledSignal(2.0 * s1.samples - 3.0 * s2.samples, P.f_sim),
-        ch, P)
+    lhs = waveform.apply_channel(2.0 * s1 - 3.0 * s2, ch, P)
     r1 = waveform.apply_channel(s1, ch, P)
     r2 = waveform.apply_channel(s2, ch, P)
-    assert np.allclose(lhs.samples, 2.0 * r1.samples - 3.0 * r2.samples,
-                       atol=1e-12)
+    assert np.allclose(lhs, 2.0 * r1 - 3.0 * r2, atol=1e-12)
 
 
 @settings(max_examples=80, deadline=None)
@@ -225,9 +222,8 @@ def test_brickwall_slice_matches_frequency_mask(n, f_sim, frac, on_bin, nudge,
 def test_add_awgn_zero_noise_returns_filtered_input():
     rng = np.random.default_rng(8)
     x = rng.normal(size=4096)
-    sig = waveform.SampledSignal(x, P.f_sim)
-    out = waveform.add_awgn_and_filter(sig, 0.0, P)
-    assert np.allclose(out.samples, waveform.brickwall_lowpass(x, P.f_sim, P.W))
+    out = waveform.add_awgn_and_filter(x, 0.0, P)
+    assert np.allclose(out, waveform.brickwall_lowpass(x, P.f_sim, P.W))
 
 
 def test_add_awgn_noise_power_matches_psd():
@@ -235,22 +231,21 @@ def test_add_awgn_noise_power_matches_psd():
     # ideal low-pass of one-sided bandwidth W
     rng = np.random.default_rng(9)
     N0 = 0.3
-    sig = waveform.SampledSignal(np.zeros(2_000_000), P.f_sim)
-    out = waveform.add_awgn_and_filter(sig, N0, P, rng)
-    power = float(np.mean(out.samples ** 2))
+    out = waveform.add_awgn_and_filter(np.zeros(2_000_000), N0, P, rng)
+    power = float(np.mean(out ** 2))
     assert power == pytest.approx(N0 * P.W, rel=0.03)
 
 
 def test_add_awgn_deterministic_given_seed():
-    sig = waveform.SampledSignal(np.ones(1000), P.f_sim)
-    a = waveform.add_awgn_and_filter(sig, 0.1, P, np.random.default_rng(42))
-    b = waveform.add_awgn_and_filter(sig, 0.1, P, np.random.default_rng(42))
-    assert np.array_equal(a.samples, b.samples)
+    x = np.ones(1000)
+    a = waveform.add_awgn_and_filter(x, 0.1, P, np.random.default_rng(42))
+    b = waveform.add_awgn_and_filter(x, 0.1, P, np.random.default_rng(42))
+    assert np.array_equal(a, b)
 
 
 def test_add_awgn_requires_rng_for_positive_noise():
-    sig = waveform.SampledSignal(np.zeros(16), P.f_sim)
+    x = np.zeros(16)
     with pytest.raises(ValueError):
-        waveform.add_awgn_and_filter(sig, 0.1, P)
+        waveform.add_awgn_and_filter(x, 0.1, P)
     with pytest.raises(ValueError):
-        waveform.add_awgn_and_filter(sig, -1.0, P)
+        waveform.add_awgn_and_filter(x, -1.0, P)

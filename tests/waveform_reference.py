@@ -10,7 +10,7 @@ import scipy.fft
 from uwbsim import waveform
 
 
-def symbol_waveform(params, th: waveform.ThCode) -> waveform.SampledSignal:
+def symbol_waveform(params, th: waveform.ThCode) -> np.ndarray:
     """One symbol's pulse train: N_f hopped copies of the monocycle over [0, T_s)."""
     th.validate(params)
     pulse = waveform.monocycle(params)
@@ -21,20 +21,20 @@ def symbol_waveform(params, th: waveform.ThCode) -> waveform.SampledSignal:
         if k + len(pulse) > n:
             raise ValueError("hopped pulse spills out of its frame")
         out[k:k + len(pulse)] += pulse
-    return waveform.SampledSignal(out, params.f_sim)
+    return out
 
 
 def transmit_full_train(diff_symbols, params, th: waveform.ThCode,
-                        channel) -> waveform.SampledSignal:
+                        channel) -> np.ndarray:
     """Received signal of d_0..d_N: the channel-filtered symbol waveform,
     d_i-weighted and superposed at offsets i*T_s, in a buffer of the same
     fast FFT length as `waveform.transmit`."""
     d = np.asarray(diff_symbols, dtype=float)
     template = waveform.apply_channel(symbol_waveform(params, th), channel,
-                                      params).samples
+                                      params)
     step = params.to_samples(params.T_s)
     n = len(template)
     out = np.zeros(scipy.fft.next_fast_len(step * (len(d) - 1) + n))
     for i, di in enumerate(d):
         out[i * step:i * step + n] += di * template
-    return waveform.SampledSignal(out, params.f_sim)
+    return out

@@ -81,8 +81,11 @@ class ExperimentConfig:
             raise ConfigError("snr_db grid must be non-empty")
         if self.target_errors <= 0 or self.max_bits <= 0 or self.n_packets <= 0:
             raise ConfigError("stopping rule values must be positive")
-        if min(self.n_symbols, self.k_info, self.outer_iters, self.trace_packets) <= 0:
+        if min(self.n_symbols, self.k_info, self.outer_iters, self.inner_iters,
+               self.trace_packets) <= 0:
             raise ConfigError("packet sizes and iteration counts must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.path not in ("discrete", "waveform"):
             raise ConfigError(f"unknown path {self.path!r}")
         if self.channel_mode not in ("ideal", "cm2"):
@@ -123,6 +126,11 @@ class ExperimentConfig:
                     f"M values must be in 1..{min(MAX_WINDOW, n_pkt)}")
             if self.test_case == 4 and n_pkt % int(m) != 0:
                 raise ConfigError("block schemes need n_coded divisible by M")
+        # test case 1 keeps the N - m + 1 unpadded samples of each lag m <= M
+        if self.test_case == 1 and self.n_packets * sum(
+                self.n_symbols - m for m in range(int(self.m_list[0]))) < 1000:
+            raise ConfigError("too few noise samples for a stable histogram; "
+                              "raise n_packets or n_symbols")
         if self.test_case == 4:
             try:
                 ldpc.default_code(self.k_info, self.n_coded)
@@ -351,6 +359,14 @@ def _waveform_packet(a, params: SystemParams, th, ch, N0, rng,
 # ---------------------------------------------------------------------------
 # test case 1: empirical noise statistics on the waveform path
 
+def _ks_statistic(x: np.ndarray, sd: float) -> np.float64:
+    """KS statistic of x against N(0, sd^2), as scipy.stats.kstest computes it."""
+    from scipy.special import ndtr
+    cdf, n = ndtr(np.sort(x) / sd), len(x)
+    return max(np.max(np.arange(1.0, n + 1) / n - cdf),
+               np.max(cdf - np.arange(0.0, n) / n))
+
+
 def run_testcase1(cfg: ExperimentConfig, out_dir=None) -> list[NoiseStats]:
     """Empirical PDF of the correlation-sample noise vs the Gaussian model.
 
@@ -358,8 +374,6 @@ def run_testcase1(cfg: ExperimentConfig, out_dir=None) -> list[NoiseStats]:
     theoretical variance is a single number); TH codes, data, and noise are
     redrawn per packet.  Noise samples are Y minus the known signal part.
     """
-    from scipy import stats
-
     cfg.validate()
     params = SystemParams()
     M = int(cfg.m_list[0])
@@ -390,11 +404,8 @@ def run_testcase1(cfg: ExperimentConfig, out_dir=None) -> list[NoiseStats]:
             resid = samples.values - signal
             chunks.append(resid[~samples.pad_mask])
         noise = np.concatenate(chunks)
-        if noise.size < 1000:
-            raise ConfigError("too few noise samples for a stable histogram; "
-                              "raise n_packets or n_symbols")
         sigma_th = model.sigma_n_sq
-        ks = stats.kstest(noise, "norm", args=(0.0, np.sqrt(sigma_th))).statistic
+        ks = _ks_statistic(noise, np.sqrt(sigma_th))
         span = 5.0 * np.sqrt(sigma_th)
         counts, edges = np.histogram(noise, bins=80, range=(-span, span))
         res = NoiseStats(snr_db=snr, n_samples=int(noise.size),

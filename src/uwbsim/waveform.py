@@ -95,14 +95,15 @@ def apply_channel(x: np.ndarray, channel, params) -> np.ndarray:
     return out
 
 
-def brickwall_lowpass(x: np.ndarray, f_sim: float, W: float) -> np.ndarray:
+def brickwall_lowpass(x: np.ndarray, f_sim: float, W: float,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Ideal low-pass: zero all DFT bins above W (circular convolution)."""
     spec = np.fft.rfft(x)
     # first bin above W; bin k sits at k * df, computed as np.fft.rfftfreq does
     df = 1.0 / (len(x) * (1.0 / f_sim))
     k = bisect.bisect_right(range(len(spec)), W, key=lambda i: i * df)
     spec[k:] = 0.0
-    return np.fft.irfft(spec, n=len(x))
+    return np.fft.irfft(spec, n=len(x), out=out)
 
 
 def add_awgn_and_filter(x: np.ndarray, N0: float, params,
@@ -110,9 +111,11 @@ def add_awgn_and_filter(x: np.ndarray, N0: float, params,
     """Add white noise of two-sided PSD N0/2, then apply the front-end low-pass."""
     if N0 < 0:
         raise ValueError("N0 must be nonnegative")
+    out = None
     if N0 > 0:
         if rng is None:
             raise ValueError("rng required when N0 > 0")
         noise = rng.normal(0.0, np.sqrt(N0 * params.f_sim / 2.0), len(x))
-        x = np.add(noise, x, out=noise)
-    return brickwall_lowpass(x, params.f_sim, params.W)
+        # the filter output may overwrite the noise buffer, never the caller's x
+        x = out = np.add(noise, x, out=noise)
+    return brickwall_lowpass(x, params.f_sim, params.W, out=out)

@@ -10,9 +10,10 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import uwbsim
-from uwbsim import beliefs, cli, harness, joint, ldpc, msdd
+from uwbsim import acr, beliefs, cli, harness, joint, ldpc, msdd
 from uwbsim.harness import (BerPoint, ConfigError, ExperimentConfig,
                             apply_overrides, default_config, load_config_file,
                             n0_for_snr, resolve_out_dir)
@@ -67,6 +68,12 @@ def test_default_configs_validate():
     dict(schemes=("mmsdd",), eg_modes=()),
     dict(schemes=()),
     dict(test_case=4, m_list=(2,), schemes=()),
+    # ran with no decoder iteration, or died with a raw ValueError
+    dict(inner_iters=0),
+    dict(seed=-1),
+    # simulated every packet before refusing the thin histogram
+    dict(test_case=1, path="waveform", schemes=("noise",), m_list=(3,),
+         eg_modes=("perfect",), n_symbols=5, n_packets=1),
 ])
 def test_validate_rejects_bad_fields(patch):
     cfg = replace(default_config(3), **patch)
@@ -112,6 +119,29 @@ def test_validate_enforces_path_per_test_case():
     # waveform packets are capped to keep runtimes sane
     with pytest.raises(ConfigError):
         replace(default_config(1), n_symbols=300).validate()
+
+
+@pytest.mark.parametrize("inner_iters", [0, -3])
+def test_inner_iters_must_be_positive(inner_iters, tmp_path, capsys):
+    # decode ran no iteration and the BER was reported as if decoded
+    with pytest.raises(ConfigError, match="iteration counts"):
+        replace(default_config(4), inner_iters=inner_iters).validate()
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"inner_iters = {inner_iters}\n")
+    out = tmp_path / "out"
+    assert cli.main(["tc4", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    # SeedSequence refused it only once the first packet was drawn (exit 1)
+    with pytest.raises(ConfigError, match="seed"):
+        replace(default_config(3), seed=-1).validate()
+    out = tmp_path / "out"
+    assert cli.main(["tc3", "--seed", "-1", "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @contextmanager
@@ -341,10 +371,67 @@ def test_noise_runner_small(tmp_path):
     assert (tmp_path / "tc1_hist.csv").exists()
 
 
-def test_noise_runner_rejects_thin_sampling():
+def test_noise_runner_rejects_thin_sampling(tmp_path, capsys, monkeypatch):
+    # refused by validate(), before any packet is simulated
+    def no_packets(*args, **kwargs):
+        raise AssertionError("a packet was simulated")
+    monkeypatch.setattr(harness, "_waveform_packet", no_packets)
     cfg = replace(default_config(1), n_packets=2, n_symbols=5)
     with pytest.raises(ConfigError):
         harness.run_testcase1(cfg)
+    with pytest.raises(ConfigError, match="too few noise samples"):
+        replace(cfg, n_packets=1).validate()
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("n_symbols = 5\n")
+    out = tmp_path / "out"
+    assert cli.main(["tc1", "--config", str(cfg_file), "--packets", "1",
+                     "--out", str(out)]) == 2
+    assert "too few noise samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_symbols, m", [(40, 3), (5, 5), (100, 1), (12, 10)])
+def test_thin_sampling_rule_counts_unpadded_samples(n_symbols, m):
+    # the fewest packets that give 1000 samples outside the padding pass
+    per_packet = int(np.sum(~acr.pad_mask_for(n_symbols, m)))
+    need = -(-1000 // per_packet)
+    cfg = replace(default_config(1), n_symbols=n_symbols, m_list=(m,),
+                  n_packets=need)
+    cfg.validate()
+    with pytest.raises(ConfigError):
+        replace(cfg, n_packets=need - 1).validate()
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 3000), seed=st.integers(0, 2 ** 32 - 1),
+       decimals=st.sampled_from([None, 0, 1, 2]),
+       log_scale=st.floats(-6.0, 6.0), log_sd=st.floats(-6.0, 6.0))
+def test_ks_statistic_matches_scipy_kstest(n, seed, decimals, log_scale,
+                                           log_sd):
+    # rounding before scaling makes ties (and -0.0); sd spans 12 decades
+    from scipy import stats
+    x = np.random.default_rng(seed).standard_normal(n)
+    if decimals is not None:
+        x = np.round(x, decimals)
+    x *= 10.0 ** log_scale
+    sd = 10.0 ** log_sd
+    want = stats.kstest(x, "norm", args=(0.0, sd)).statistic
+    got = harness._ks_statistic(x, sd)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_testcase1_leaves_scipy_stats_unloaded():
+    # importing scipy.stats alone adds ~45 MB of RSS to a tc1 run
+    src = os.path.dirname(os.path.dirname(uwbsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys; from dataclasses import replace; "
+            "from uwbsim import harness; "
+            "cfg = replace(harness.default_config(1), n_packets=9); "
+            "print(len(harness.run_testcase1(cfg)), "
+            "sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    assert out.stdout.strip() == "1 []"
 
 
 def test_mse_runner_small(tmp_path):

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from uwbsim import txchain, waveform
 from uwbsim.channel import ChannelRealization, generate_cm2
 from uwbsim.params import SystemParams
-from waveform_reference import symbol_waveform, transmit_full_train
+from waveform_reference import (add_awgn_and_filter_fresh, symbol_waveform,
+                                transmit_full_train)
 
 P = SystemParams()
 UNIT_TAP = ChannelRealization(np.array([0.0]), np.array([1.0]))
@@ -217,6 +218,9 @@ def test_brickwall_slice_matches_frequency_mask(n, f_sim, frac, on_bin, nudge,
     spec[freqs > W] = 0.0
     want = np.fft.irfft(spec, n=n)
     assert waveform.brickwall_lowpass(x, f_sim, W).tobytes() == want.tobytes()
+    # the same bits when the inverse FFT writes into the input buffer
+    assert waveform.brickwall_lowpass(x, f_sim, W, out=x) is x
+    assert x.tobytes() == want.tobytes()
 
 
 def test_add_awgn_zero_noise_returns_filtered_input():
@@ -224,6 +228,25 @@ def test_add_awgn_zero_noise_returns_filtered_input():
     x = rng.normal(size=4096)
     out = waveform.add_awgn_and_filter(x, 0.0, P)
     assert np.allclose(out, waveform.brickwall_lowpass(x, P.f_sim, P.W))
+
+
+@pytest.mark.parametrize("N0", [0.0, 1e-3])
+def test_add_awgn_matches_fresh_buffer_reference(N0):
+    # a received CM2 packet: the same bits and the same rng stream as the
+    # filter that returned a new array, and the caller's array untouched
+    rng = np.random.default_rng(12)
+    ch = generate_cm2(P, rng)
+    th = waveform.ThCode.random(P, rng)
+    x = waveform.transmit(txchain.differential_modulate(np.array([1, -1, -1])),
+                          P, th, ch)
+    before = x.copy()
+    rng_a, rng_b = np.random.default_rng(13), np.random.default_rng(13)
+    got = waveform.add_awgn_and_filter(x, N0, P, rng_a)
+    want = add_awgn_and_filter_fresh(x, N0, P, rng_b)
+    assert got.tobytes() == want.tobytes()
+    assert rng_a.random() == rng_b.random()
+    assert got is not x
+    assert x.tobytes() == before.tobytes()
 
 
 def test_add_awgn_noise_power_matches_psd():

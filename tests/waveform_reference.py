@@ -2,7 +2,9 @@
 waveform tests: the hopped pulse train of one symbol over [0, T_s), and the
 received signal built by passing that whole train through the channel and
 superposing the filtered symbols.  `waveform.transmit` must equal the latter
-bit for bit wherever frame responses do not overlap."""
+bit for bit wherever frame responses do not overlap.  The receiver front end
+is kept as it was before its inverse FFT wrote into the noise buffer;
+`waveform.add_awgn_and_filter` must equal it bit for bit."""
 
 import numpy as np
 import scipy.fft
@@ -38,3 +40,11 @@ def transmit_full_train(diff_symbols, params, th: waveform.ThCode,
     for i, di in enumerate(d):
         out[i * step:i * step + n] += di * template
     return out
+
+
+def add_awgn_and_filter_fresh(x, N0, params, rng=None) -> np.ndarray:
+    """Noise plus front-end low-pass, the filter output in a new array."""
+    if N0 > 0:
+        noise = rng.normal(0.0, np.sqrt(N0 * params.f_sim / 2.0), len(x))
+        x = np.add(noise, x, out=noise)
+    return waveform.brickwall_lowpass(x, params.f_sim, params.W)

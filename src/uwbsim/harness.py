@@ -79,6 +79,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown test case {self.test_case}")
         if not self.snr_db:
             raise ConfigError("snr_db grid must be non-empty")
+        if not np.isfinite([*self.snr_db, *self.trace_snr_db]).all():
+            raise ConfigError("snr_db and trace_snr_db must be finite")
         if self.target_errors <= 0 or self.max_bits <= 0 or self.n_packets <= 0:
             raise ConfigError("stopping rule values must be positive")
         if min(self.n_symbols, self.k_info, self.outer_iters, self.inner_iters,

@@ -5,6 +5,8 @@ so a positive LLR favors bit 0.  Hard decisions break ties toward bit 0.
 
 The parity-check matrix is (3,6)-regular, built column by column with a
 seeded generator while refusing row pairs that would close a length-4 cycle.
+Each column's rows are drawn by the capacity left, with the very draws and
+arithmetic of ``Generator.choice(replace=False, p=...)``, so H is unchanged.
 Construction restarts (bounded) until the matrix is also full rank, which
 makes the realized rate equal the design rate K/N and gives a systematic
 encoder on the non-pivot columns of the GF(2) reduced form.
@@ -37,15 +39,16 @@ class LdpcCode:
     _edges: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
+        n_checks, n = self.H.shape
+        # edges in check order (row-major), columns ascending within a check
+        rows, cols = np.divmod(np.flatnonzero(self.H), n)
         # the decoder and the syndrome lay edges out by these weights,
         # which would count silently wrong on an irregular H
-        row_w, col_w = self.H.sum(axis=1), self.H.sum(axis=0)
+        row_w = np.bincount(rows, minlength=n_checks)
+        col_w = np.bincount(cols, minlength=n)
         if np.ptp(row_w) or np.ptp(col_w):
             raise ValueError("H must have a regular row and column profile")
         row_w, col_w = int(row_w[0]), int(col_w[0])
-        n_checks, n = self.H.shape
-        # edges in check order (row-major), columns ascending within a check
-        rows, cols = np.nonzero(self.H)
         n_edges = len(rows)
         slot_in_var = np.empty(n_edges, dtype=np.int64)
         slot_in_var[np.lexsort((rows, cols))] = np.arange(n_edges) % col_w
@@ -87,55 +90,60 @@ class DecodeResult:
 
 def _gf2_rref(A: np.ndarray):
     """Reduced row-echelon form over GF(2); returns (rref, pivot_columns)."""
-    A = A.astype(np.uint8).copy()
     n_rows, n_cols = A.shape
+    P = np.packbits(A, axis=1)  # row operations XOR 8 columns per byte
     pivots = []
-    r = 0
     for c in range(n_cols):
+        r = len(pivots)
         if r == n_rows:
             break
-        hits = np.nonzero(A[r:, c])[0]
-        if hits.size == 0:
+        hits = (P[:, c >> 3] & (0x80 >> (c & 7))).nonzero()[0]
+        i = hits.searchsorted(r)
+        if i == hits.size:
             continue
-        p = r + hits[0]
-        if p != r:
-            A[[r, p]] = A[[p, r]]
-        others = np.nonzero(A[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            A[others] ^= A[r]
+        # make row r the pivot row, then clear column c from every other row
+        if hits[i] != r:
+            P[r] ^= P[hits[i]]
+        P[hits[hits != r]] ^= P[r]
         pivots.append(c)
-        r += 1
-    return A, np.asarray(pivots, dtype=np.int64)
+    rref = np.unpackbits(P, axis=1, count=n_cols)
+    return rref, np.asarray(pivots, dtype=np.int64)
+
+
+def _choose_rows(p: np.ndarray, rng) -> list:
+    """``rng.choice(len(p), _COL_W, replace=False, p=p)``, inlined."""
+    p, found = p.copy(), {}
+    while len(found) < _COL_W:
+        x = rng.random(_COL_W - len(found))
+        p[list(found)] = 0.0
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        found.update(dict.fromkeys(cdf.searchsorted(x, "right").tolist()))
+    return list(found)
 
 
 def _try_build_H(n: int, n_rows: int, rng):
     """One attempt at a regular 4-cycle-free matrix; None on dead end."""
-    cap = np.full(n_rows, _ROW_W, dtype=np.int64)
-    used_pairs = set()
+    cap = np.full(n_rows, float(_ROW_W))
+    linked = np.zeros((n_rows, n_rows), dtype=bool)  # rows a < b share a column
     col_rows = np.empty((n, _COL_W), dtype=np.int64)
     for j in range(n):
-        placed = False
-        for _ in range(400):
-            avail = np.nonzero(cap)[0]
-            if avail.size < _COL_W:
-                return None
-            w = cap[avail].astype(float)
-            pick = rng.choice(avail, size=_COL_W, replace=False, p=w / w.sum())
-            pairs = [frozenset((pick[a], pick[b]))
-                     for a in range(_COL_W) for b in range(a + 1, _COL_W)]
-            if any(p in used_pairs for p in pairs):
-                continue
-            used_pairs.update(pairs)
-            cap[pick] -= 1
-            col_rows[j] = np.sort(pick)
-            placed = True
-            break
-        if not placed:
+        if np.count_nonzero(cap) < _COL_W:
             return None
+        # weights are the capacities left; their sum is exact, as in numpy
+        p = cap / (_ROW_W * n_rows - _COL_W * j)
+        for _ in range(400):
+            a, b, c = pick = sorted(_choose_rows(p, rng))
+            if not (linked[a, b] or linked[a, c] or linked[b, c]):
+                break
+        else:
+            return None
+        linked[a, b] = linked[a, c] = linked[b, c] = True
+        for r in pick:
+            cap[r] -= 1.0
+        col_rows[j] = pick
     H = np.zeros((n_rows, n), dtype=np.uint8)
-    for j in range(n):
-        H[col_rows[j], j] = 1
+    H[col_rows, np.arange(n)[:, None]] = 1
     return H
 
 
@@ -152,7 +160,7 @@ def construct_regular(k: int = 800, n: int = 1600, seed: int = 1) -> LdpcCode:
         rref, pivots = _gf2_rref(H)
         if pivots.size != n_rows:
             continue
-        free = np.setdiff1d(np.arange(n), pivots)
+        free = np.delete(np.arange(n), pivots)
         return LdpcCode(H=H, info_positions=free, parity_positions=pivots,
                         B_packed=np.packbits(rref[:, free], axis=1),
                         seed=seed)

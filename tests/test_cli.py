@@ -1,12 +1,17 @@
 """Command-line front end: exit codes, flag plumbing, CSV output."""
 
 import csv
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from uwbsim import cli
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _tiny_cfg(tmp_path, **extra):
@@ -84,6 +89,23 @@ def test_packets_flag_caps_total_bits(tmp_path):
     with open(out_dir / "tc3_ber.csv") as f:
         rows = list(csv.DictReader(f))
     assert int(rows[0]["bits_simulated"]) == 4 * 200
+
+
+def test_module_entry_runs_without_install():
+    # the same run as the console script below, through `python -m uwbsim`
+    # on the checkout's src/, so it runs where the package is not installed
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "uwbsim", "oracle-check",
+                           "--instances", "3"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert "PASS" in proc.stdout
+    # ...and the console script, once installed, calls the same function
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts["uwbsim"] == "uwbsim.cli:main"
 
 
 @pytest.mark.skipif(shutil.which("uwbsim") is None,

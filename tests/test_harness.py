@@ -144,6 +144,30 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("snr_db", "nan"), ("snr_db", "inf"), ("snr_db", "-inf"),
+    ("trace_snr_db", "nan"), ("trace_snr_db", "inf")])
+def test_non_finite_snr_is_a_config_error(field, value, tmp_path, capsys):
+    # nan ran and wrote snr_db nan rows; inf died with a raw ValueError
+    with pytest.raises(ConfigError, match="finite"):
+        replace(default_config(4), **{field: (12.0, float(value))}).validate()
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{field} = 12.0,{value}\n")
+    out = tmp_path / "out"
+    assert cli.main(["tc4", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_refuses_non_finite_snr_flag(value, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["tc3", "--snr-db", value, "--m", "2", "--packets", "2",
+                     "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @contextmanager
 def _deadline(seconds):
     """Fail instead of hanging when the body runs past `seconds`."""

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from uwbsim import ldpc
 
+import ldpc_reference
+
 
 @pytest.fixture(scope="module")
 def small():
@@ -88,6 +90,83 @@ def test_construction_is_seed_deterministic():
     c = ldpc.construct_regular(k=24, n=48, seed=10)
     assert np.array_equal(a.H, b.H)
     assert not np.array_equal(a.H, c.H)
+
+
+@st.composite
+def _capacities(draw):
+    """Row capacities mid-build: 1-6 left, or 0 for full rows, >= 3 open."""
+    n = draw(st.integers(3, 800))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cap = gen.integers(1, _ROW_W + 1, n)
+    n_full = draw(st.one_of(st.just(n - 3), st.integers(0, n - 3)))
+    cap[gen.permutation(n)[:n_full]] = 0
+    return cap
+
+
+_ROW_W = 6
+
+
+@settings(max_examples=300, deadline=None)
+@given(cap=_capacities(), seed=st.integers(0, 2**32 - 1),
+       skip=st.integers(0, 3))
+def test_inline_draw_matches_generator_choice(cap, seed, skip):
+    # Generator.choice over the open rows, as the construction called it
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    ref_rng.random(skip), rng.random(skip)
+    want = ldpc_reference.choose_rows(cap, ref_rng)
+    got = ldpc._choose_rows(cap / cap.sum(), rng)
+    assert got == want.tolist()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("k,n,seed", [(24, 48, 3), (24, 48, 9), (30, 60, 3),
+                                      (100, 200, 1), (400, 800, 2),
+                                      (800, 1600, 1)])
+def test_build_matches_reference_attempt_for_attempt(k, n, seed):
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    outcomes = []
+    for _ in range(2 if n > 1000 else 6):
+        want = ldpc_reference.try_build_H(n, n - k, ref_rng)
+        got = ldpc._try_build_H(n, n - k, rng)
+        if want is None:
+            assert got is None
+        else:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        outcomes.append(want is not None)
+        assert rng.random() == ref_rng.random()
+    if (k, n, seed) == (400, 800, 2):
+        # the first attempt dead-ends and a later one succeeds, so both the
+        # dead end and the restart after it are compared
+        assert outcomes[0] is False and any(outcomes)
+
+
+@st.composite
+def _gf2_matrices(draw):
+    rows, cols = draw(st.integers(1, 24)), draw(st.integers(1, 80))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = (gen.random((rows, cols)) < draw(st.floats(0.0, 1.0))).astype(np.uint8)
+    # rank deficiency: a repeated row and an empty column
+    if draw(st.booleans()) and rows > 1:
+        A[-1] = A[0]
+    if draw(st.booleans()):
+        A[:, gen.integers(cols)] = 0
+    return A
+
+
+@settings(max_examples=200, deadline=None)
+@given(A=_gf2_matrices())
+def test_rref_matches_reference(A):
+    want, want_pivots = ldpc_reference.gf2_rref(A)
+    got, got_pivots = ldpc._gf2_rref(A)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got_pivots.dtype == want_pivots.dtype
+    assert np.array_equal(got_pivots, want_pivots)
+
+
+def test_rref_of_default_H_matches_reference(code):
+    want, want_pivots = ldpc_reference.gf2_rref(code.H)
+    got, got_pivots = ldpc._gf2_rref(code.H)
+    assert np.array_equal(got, want) and np.array_equal(got_pivots, want_pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -97,13 +97,10 @@ def _capacities(draw):
     """Row capacities mid-build: 1-6 left, or 0 for full rows, >= 3 open."""
     n = draw(st.integers(3, 800))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    cap = gen.integers(1, _ROW_W + 1, n)
+    cap = gen.integers(1, ldpc._ROW_W + 1, n)
     n_full = draw(st.one_of(st.just(n - 3), st.integers(0, n - 3)))
     cap[gen.permutation(n)[:n_full]] = 0
     return cap
-
-
-_ROW_W = 6
 
 
 @settings(max_examples=300, deadline=None)
@@ -112,7 +109,8 @@ _ROW_W = 6
 def test_inline_draw_matches_generator_choice(cap, seed, skip):
     # Generator.choice over the open rows, as the construction called it
     ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    ref_rng.random(skip), rng.random(skip)
+    for g in (ref_rng, rng):
+        g.random(skip)
     want = ldpc_reference.choose_rows(cap, ref_rng)
     got = ldpc._choose_rows(cap / cap.sum(), rng)
     assert got == want.tolist()

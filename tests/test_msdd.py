@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from uwbsim import acr, beliefs, msdd, reference
 from uwbsim.params import SystemParams
 
+import msdd_reference as frozen
 from msdd_reference import evidence, forward_state_marginals_bruteforce
 
 P = SystemParams()
@@ -236,6 +237,27 @@ def test_batched_sweep_matches_single_sequences(seed, m, extra, b, noise,
         assert np.array_equal(apps[j], app)
         app, _ = _app(samples[j], m, amps[j], sigmas[j])
         assert np.array_equal(hard[j], beliefs.hard(app))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 7),
+       b=st.integers(1, 9), block=st.integers(2, 8), full=st.integers(1, 11),
+       ragged=st.integers(1, 7),
+       noise=st.sampled_from([1e-9, 1e-4, 0.05, 0.5, 5.0]),
+       prior=st.sampled_from(["none", "random", "saturated"]))
+def test_app_matches_frozen_merge(seed, m, b, block, full, ragged, noise,
+                                  prior):
+    # N = full blocks of `block` steps plus a ragged last block, up to 95
+    n = full * block + 1 + (ragged - 1) % (block - 1)
+    assume(n >= m)
+    samples, amps, sigmas, priors = _stack(seed, m, n, b, noise,
+                                           prior == "saturated")
+    if prior == "none":
+        priors = None
+    app, gamma = msdd.msdd_app(samples, m, amps, sigmas, priors)
+    want_app, want_gamma = frozen.msdd_app(samples, m, amps, sigmas, priors)
+    assert np.array_equal(app, want_app)
+    assert np.array_equal(gamma, want_gamma)
 
 # ---------------------------------------------------------------------------
 # merged posteriors against the enumeration oracle

@@ -20,6 +20,7 @@ every window pair inside a block (plus the reference window just before it),
 M(M+1)/2 samples per block.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,19 +67,22 @@ class NoiseModel:
 class CorrSamples:
     """Overlapping correlation samples: values[i-1, m-1] = Y_{i,m}.
 
-    pad_mask is True where the sample was zero-padded (i < m).
+    The entries with i < m are zero padding (pad_mask).
     """
 
     values: np.ndarray
-    pad_mask: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        self.pad_mask = np.asarray(self.pad_mask, dtype=bool)
-        if self.values.shape != self.pad_mask.shape or self.values.ndim != 2:
-            raise ValueError("values and pad_mask must be equal-shape 2-d arrays")
+        if self.values.ndim != 2:
+            raise ValueError("values must be a 2-d array")
         if np.any(self.values[self.pad_mask] != 0.0):
             raise ValueError("padded entries must be zero")
+
+    @property
+    def pad_mask(self) -> np.ndarray:
+        """True where the sample was zero-padded; read-only, shared."""
+        return pad_mask_for(*self.values.shape)
 
     @property
     def n_symbols(self) -> int:
@@ -89,11 +93,15 @@ class CorrSamples:
         return self.values.shape[1]
 
 
+@functools.lru_cache(maxsize=64)
 def pad_mask_for(N: int, M: int) -> np.ndarray:
-    """Mask of zero-padded entries: sample (i, m) exists only for m <= i."""
+    """Mask of zero-padded entries: sample (i, m) exists only for m <= i.
+    Cached per shape, so the array is read-only."""
     i = np.arange(1, N + 1)[:, None]
     m = np.arange(1, M + 1)[None, :]
-    return m > i
+    mask = m > i
+    mask.flags.writeable = False
+    return mask
 
 
 @dataclass
@@ -157,11 +165,10 @@ def sample_overlapping(received: np.ndarray, th: ThCode, params,
     D = despread_windows(received, th, params, N + 1)
     dt = params.dt
     Y = np.zeros((N, M))
-    mask = pad_mask_for(N, M)
     for i in range(1, N + 1):
         for m in range(1, min(M, i) + 1):
             Y[i - 1, m - 1] = dt * float(D[i] @ D[i - m]) / params.N_f
-    return CorrSamples(Y, mask)
+    return CorrSamples(Y)
 
 
 def sample_block(received: np.ndarray, th: ThCode, params,
@@ -201,13 +208,12 @@ def generate_discrete(symbols: np.ndarray, M: int, model: NoiseModel,
         raise ValueError("need 1 <= M <= N")
     i = np.arange(1, N + 1)[:, None]
     m = np.arange(1, M + 1)[None, :]
-    mask = m > i
     prod = C[i] * C[np.maximum(i - m, 0)]
     Y = prod * model.amplitude
     if model.N0 > 0:
         Y = Y + rng.normal(0.0, np.sqrt(model.sigma_n_sq), Y.shape)
-    Y[mask] = 0.0
-    return CorrSamples(Y, mask)
+    Y[m > i] = 0.0
+    return CorrSamples(Y)
 
 
 def generate_discrete_blocks(symbols: np.ndarray, M: int, model: NoiseModel,

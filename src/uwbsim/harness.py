@@ -466,8 +466,7 @@ def run_testcase2(cfg: ExperimentConfig, out_dir=None) -> list[MsePoint]:
             a = _random_symbols(rng, cfg.n_symbols)
             samples = acr.generate_discrete(a, m_max, model, rng)
             for m in m_list:
-                sub = acr.CorrSamples(samples.values[:, :m],
-                                      samples.pad_mask[:, :m])
+                sub = acr.CorrSamples(samples.values[:, :m])
                 eh = acr.estimate_Eg(sub, params.N_f)
                 sq[m][pkt] = (eh - E_g) ** 2
         for m in m_list:

@@ -23,7 +23,7 @@ import functools
 import numpy as np
 
 from . import beliefs
-from .acr import BlockCorrSamples, CorrSamples
+from .acr import BlockCorrSamples, CorrSamples, pad_mask_for
 
 # hypothesis enumeration cost is 2^M; refuse absurd windows by default
 MAX_WINDOW = 10
@@ -42,12 +42,20 @@ def log_evidence_matrix(samples: CorrSamples, amplitude: float,
     if sigma_sq <= 0:
         raise ValueError("sigma_sq must be positive")
     Y = samples.values
-    keep = (~samples.pad_mask).astype(float)
+    keep = _keep_mask(*Y.shape)
     kY = Y * keep
     const = np.sum(kY * Y, axis=1) + amplitude ** 2 * keep.sum(axis=1)
     cross = kY @ _state_signs(samples.window).T
     se = const[:, None] - 2.0 * amplitude * cross
     return -se / sigma_sq
+
+
+@functools.lru_cache(maxsize=64)
+def _keep_mask(N: int, M: int) -> np.ndarray:
+    """1.0 at live samples, 0.0 at padding; read-only, shared per shape."""
+    keep = (~pad_mask_for(N, M)).astype(float)
+    keep.flags.writeable = False
+    return keep
 
 
 def _log_priors(priors, n: int) -> np.ndarray:
@@ -60,9 +68,13 @@ def _log_priors(priors, n: int) -> np.ndarray:
 
 
 # stacked sweep arrays hold at most this many (step, sequence, state)
-# elements, about 4 MB each; callers size their batches by it.  The sweep's
-# shared buffer holds two of them, alpha and beta padded to 2^M states
+# elements, about 4 MB each; callers size their batches by it.  msdd_app
+# holds about three such arrays plus one merge block: the evidence, and the
+# sweep's shared buffer of alpha and beta, beta padded to 2^M states
 BATCH_ELEMENTS = 1 << 19
+# the merge runs over blocks of steps of about this many elements (256 KB),
+# so its working set stays in cache
+MERGE_ELEMENTS = 1 << 15
 
 
 def _sweep(logE: np.ndarray, logp: np.ndarray):
@@ -132,19 +144,27 @@ def _merge_log(la: np.ndarray, lb: np.ndarray, logE: np.ndarray) -> np.ndarray:
     Shifting bit b into state s lands on 2*(s mod 2^(M-1)) + b, so the
     destination term for every source state is a broadcast of the even
     (b = 0) or odd (b = 1) half of the destination row.  A contiguous logE
-    is overwritten with that destination term.
+    is overwritten with that destination term.  The steps run in blocks of
+    about MERGE_ELEMENTS through one reused buffer; each row sees the same
+    operations as in a merge of all N steps at once.
     """
     N, B, S = logE.shape
     # indexed by destination state, rows i = 1..N
     post = logE.reshape(N, B, 2, S >> 1)
-    np.add(post, lb[1:, :, None, :], out=post)
-    post = post.reshape(N, B, S)
+    beta = lb[1:, :, None, :]
     prev = la[:-1].reshape(N, B, 2, S >> 1)   # source states, rows i-1
-    term = np.empty((N, B, 2, S >> 1))
+    step = min(N, max(1, MERGE_ELEMENTS // (B * S)))
+    buf = np.empty((step, B, 2, S >> 1))
     lg = np.empty((N, B, 2))
-    for b in (0, 1):
-        np.add(prev, post[:, :, None, b::2], out=term)
-        lg[..., b] = _row_logsumexp(term.reshape(N, B, S))
+    for i in range(0, N, step):
+        rows = slice(i, i + step)
+        p = post[rows]
+        np.add(p, beta[rows], out=p)
+        p = p.reshape(-1, B, S)
+        term = buf[:len(p)]
+        for b in (0, 1):
+            np.add(prev[rows], p[:, :, None, b::2], out=term)
+            lg[rows, :, b] = _row_logsumexp(term.reshape(-1, B, S))
     return lg
 
 
@@ -158,14 +178,21 @@ def msdd_app(samples, M: int, amplitude, sigma_sq,
     gamma are (B, N, 2).  One sweep serves the whole stack, so callers keep
     B * N * 2^M within BATCH_ELEMENTS.
     """
+    B = len(samples)
+    if B == 0:
+        raise ValueError("need at least one packet")
     if any(s.window != M for s in samples):
         raise ValueError("sample window does not match M")
-    B = len(samples)
+    N = samples[0].n_symbols
+    if any(s.n_symbols != N for s in samples):
+        raise ValueError("packets differ in length")
+    if any(np.shape(x) not in ((), (B,)) for x in (amplitude, sigma_sq)):
+        raise ValueError("amplitude and sigma_sq need one value per packet")
     amplitude = np.broadcast_to(amplitude, B)
     sigma_sq = np.broadcast_to(sigma_sq, B)
-    logE = np.stack([log_evidence_matrix(s, a, v)
-                     for s, a, v in zip(samples, amplitude, sigma_sq)], axis=1)
-    N = logE.shape[0]
+    logE = np.empty((N, B, 1 << M))
+    for j, (s, a, v) in enumerate(zip(samples, amplitude, sigma_sq)):
+        logE[:, j] = log_evidence_matrix(s, a, v)
     if priors is None:
         priors = [None] * B
     elif len(priors) != B:

@@ -13,7 +13,8 @@ import itertools
 import numpy as np
 
 from . import beliefs
-from .acr import BlockCorrSamples, CorrSamples, NoiseModel, pad_mask_for
+from .acr import (BlockCorrSamples, CorrSamples, NoiseModel,
+                  generate_discrete, generate_discrete_blocks)
 from .msdd import bmsdd_extrinsic, msdd_app
 
 _TINY = np.finfo(float).tiny
@@ -98,26 +99,10 @@ def block_extrinsic_bruteforce(blocks: BlockCorrSamples, priors, amplitude: floa
     return beliefs.from_log(out)
 
 
-def _random_app_instance(rng):
-    N = 8
-    M = int(rng.integers(1, 4))
+def _random_model(rng) -> NoiseModel:
     E_g = float(rng.uniform(0.5, 1.5))
     N0 = float(10 ** rng.uniform(-1.3, -0.3))
-    model = NoiseModel(N_f=10, E_g=E_g, N0=N0, W=2e9, T_g=100e-9)
-    vals = np.zeros((N, M))
-    mask = pad_mask_for(N, M)
-    sym = rng.choice((1.0, -1.0), size=N)
-    run = np.concatenate([[1.0], np.cumprod(sym)])
-    for i in range(1, N + 1):
-        for m in range(1, M + 1):
-            if mask[i - 1, m - 1]:
-                continue
-            sign = run[i] * run[i - m]
-            vals[i - 1, m - 1] = model.amplitude * sign + \
-                rng.normal(0.0, np.sqrt(model.sigma_n_sq))
-    samples = CorrSamples(values=vals, pad_mask=mask)
-    priors = beliefs.normalize(rng.uniform(0.05, 1.0, size=(N, 2)))
-    return samples, M, model, priors
+    return NoiseModel(N_f=10, E_g=E_g, N0=N0, W=2e9, T_g=100e-9)
 
 
 def run_oracle_check(n_instances: int = 200, seed: int = 0) -> dict:
@@ -125,7 +110,10 @@ def run_oracle_check(n_instances: int = 200, seed: int = 0) -> dict:
     rng = np.random.default_rng(seed)
     worst_app = 0.0
     for _ in range(n_instances):
-        samples, M, model, priors = _random_app_instance(rng)
+        M = int(rng.integers(1, 4))
+        model = _random_model(rng)
+        samples = generate_discrete(rng.choice((1, -1), size=8), M, model, rng)
+        priors = beliefs.normalize(rng.uniform(0.05, 1.0, size=(8, 2)))
         (app,), _ = msdd_app([samples], M, model.amplitude,
                              model.sigma_n_sq, [priors])
         ref = app_marginals_bruteforce(samples, M, model.amplitude,
@@ -137,19 +125,9 @@ def run_oracle_check(n_instances: int = 200, seed: int = 0) -> dict:
     for _ in range(n_instances):
         M = int(rng.integers(1, 4))
         U = int(rng.integers(1, 4))
-        E_g = float(rng.uniform(0.5, 1.5))
-        N0 = float(10 ** rng.uniform(-1.3, -0.3))
-        model = NoiseModel(N_f=10, E_g=E_g, N0=N0, W=2e9, T_g=100e-9)
-        vals = np.zeros((U, M, M))
-        sym = rng.choice((1.0, -1.0), size=U * M)
-        for u in range(U):
-            run = np.concatenate([[1.0], np.cumprod(sym[u * M:(u + 1) * M])])
-            for r in range(M):
-                for c in range(r + 1):
-                    sign = run[r + 1] * run[c]
-                    vals[u, r, c] = model.amplitude * sign + \
-                        rng.normal(0.0, np.sqrt(model.sigma_n_sq))
-        blocks = BlockCorrSamples(values=vals)
+        model = _random_model(rng)
+        blocks = generate_discrete_blocks(rng.choice((1, -1), size=U * M), M,
+                                          model, rng)
         priors = beliefs.normalize(rng.uniform(0.05, 1.0, size=(U * M, 2)))
         lam = bmsdd_extrinsic(blocks, priors, model.amplitude, model.sigma_n_sq)
         ref = block_extrinsic_bruteforce(blocks, priors, model.amplitude,

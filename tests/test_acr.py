@@ -41,10 +41,18 @@ def test_pad_mask_rule_and_count():
         assert mask.sum() == M * (M - 1) // 2
 
 
+def test_pad_mask_is_shared_and_read_only():
+    s = acr.CorrSamples(np.zeros((6, 3)))
+    assert s.pad_mask is acr.pad_mask_for(6, 3)
+    assert np.array_equal(s.pad_mask, acr.pad_mask_for(6, 3))
+    with pytest.raises(ValueError):
+        s.pad_mask[0, 0] = True
+
+
 def test_corr_samples_reject_nonzero_padding():
     vals = np.ones((3, 2))
     with pytest.raises(ValueError):
-        acr.CorrSamples(vals, acr.pad_mask_for(3, 2))
+        acr.CorrSamples(vals)
 
 
 def test_generate_discrete_noiseless_values():
@@ -242,7 +250,7 @@ def test_estimate_eg_scale_equivariant():
     model = acr.NoiseModel(P.N_f, 1.0, 0.2, P.W, P.T_g)
     s = acr.generate_discrete(a, 2, model, np.random.default_rng(11))
     e1 = acr.estimate_Eg(s, P.N_f)
-    scaled = acr.CorrSamples(3.0 * s.values, s.pad_mask)
+    scaled = acr.CorrSamples(3.0 * s.values)
     assert acr.estimate_Eg(scaled, P.N_f) == pytest.approx(3.0 * e1, rel=1e-12)
 
 

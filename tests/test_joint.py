@@ -139,7 +139,7 @@ def test_sample_type_picks_the_detector(small):
 
 def test_dimension_validation(small):
     _, _, imap, samples, det = _packet(6, 2, "mmsdd", small, 0.1, 0.1)
-    short = acr.CorrSamples(samples.values[:-2], samples.pad_mask[:-2])
+    short = acr.CorrSamples(samples.values[:-2])
     with pytest.raises(ValueError):
         joint.run_joint([short], small, [imap], [det])
     bad_map = txchain.InterleaverMap(np.arange(small.n - 1))

@@ -1,5 +1,8 @@
 """Trellis detectors: structure, evidence, sweep, oracles, block variant."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -70,15 +73,17 @@ def test_trellis_signs_are_newest_run_products():
 # evidence
 
 
-def _log_evidence(rows, pads, m, A, s2):
-    samples = acr.CorrSamples(np.array(rows, dtype=float), np.array(pads))
+def _log_evidence(rows, A, s2):
+    samples = acr.CorrSamples(np.array(rows, dtype=float))
     return msdd.log_evidence_matrix(samples, A, s2)
 
 
 def test_evidence_peaks_at_matching_state():
+    # rows 2..5 hold the noiseless samples of each state; row 1 has its
+    # lag-2 sample padded
     A, s2 = 7.0, 3.0
-    logE = _log_evidence(A * msdd._state_signs(2), np.zeros((4, 2), dtype=bool),
-                         2, A, s2)
+    logE = _log_evidence(np.vstack([[A, 0.0], A * msdd._state_signs(2)]),
+                         A, s2)[1:]
     for state in range(4):
         assert np.exp(logE[state, state]) == pytest.approx(1.0)
         assert np.argmax(logE[state]) == state
@@ -88,15 +93,15 @@ def test_evidence_sign_flip_ratio():
     # flipping one matched sample of magnitude A multiplies the factor by
     # exp(-4 A^2 / sigma^2)
     A, s2 = 2.0, 5.0
-    logE = _log_evidence([[A], [-A]], [[False], [False]], 1, A, s2)
+    logE = _log_evidence([[A], [-A]], A, s2)
     assert np.exp(logE[1, 0] - logE[0, 0]) == pytest.approx(
         np.exp(-4 * A ** 2 / s2), rel=1e-12)
 
 
 def test_evidence_ignores_padded_entries():
     # a padded lag-2 sample leaves only the newest symbol observed
-    with_pad = _log_evidence([[1.3, 0.0]], [[False, True]], 2, 1.0, 2.0)
-    alone = _log_evidence([[1.3]], [[False]], 1, 1.0, 2.0)
+    with_pad = _log_evidence([[1.3, 0.0]], 1.0, 2.0)
+    alone = _log_evidence([[1.3]], 1.0, 2.0)
     assert np.allclose(with_pad[0], alone[0, np.arange(4) & 1], rtol=1e-12)
 
 
@@ -113,7 +118,7 @@ def test_log_evidence_matrix_matches_scalar_evidence():
 
 def test_evidence_requires_positive_variance():
     with pytest.raises(ValueError):
-        _log_evidence([[1.0]], [[False]], 1, 1.0, 0.0)
+        _log_evidence([[1.0]], 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -242,19 +247,23 @@ def test_batched_sweep_matches_single_sequences(seed, m, extra, b, noise,
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 7),
        b=st.integers(1, 9), block=st.integers(2, 8), full=st.integers(1, 11),
-       ragged=st.integers(1, 7),
+       ragged=st.integers(1, 7), slack=st.floats(0.0, 0.99),
        noise=st.sampled_from([1e-9, 1e-4, 0.05, 0.5, 5.0]),
        prior=st.sampled_from(["none", "random", "saturated"]))
-def test_app_matches_frozen_merge(seed, m, b, block, full, ragged, noise,
-                                  prior):
-    # N = full blocks of `block` steps plus a ragged last block, up to 95
+def test_app_matches_frozen_merge(seed, m, b, block, full, ragged, slack,
+                                  noise, prior):
+    # N = full merge blocks of `block` steps plus a ragged last block, up to
+    # 95; the element budget need not be a whole number of steps
     n = full * block + 1 + (ragged - 1) % (block - 1)
     assume(n >= m)
+    step = b << m
+    budget = block * step + int(slack * step)
     samples, amps, sigmas, priors = _stack(seed, m, n, b, noise,
                                            prior == "saturated")
     if prior == "none":
         priors = None
-    app, gamma = msdd.msdd_app(samples, m, amps, sigmas, priors)
+    with mock.patch.object(msdd, "MERGE_ELEMENTS", budget):
+        app, gamma = msdd.msdd_app(samples, m, amps, sigmas, priors)
     want_app, want_gamma = frozen.msdd_app(samples, m, amps, sigmas, priors)
     assert np.array_equal(app, want_app)
     assert np.array_equal(gamma, want_gamma)
@@ -333,7 +342,7 @@ def test_decisions_scale_invariant():
     app1, g1 = _app(samples, 3, model.amplitude, model.sigma_n_sq,
                              priors)
     c = 37.5
-    scaled = acr.CorrSamples(c * samples.values, samples.pad_mask)
+    scaled = acr.CorrSamples(c * samples.values)
     app2, g2 = _app(scaled, 3, c * model.amplitude,
                              c ** 2 * model.sigma_n_sq, priors)
     assert np.allclose(app1, app2, rtol=1e-10, atol=1e-12)
@@ -347,6 +356,43 @@ def test_beliefs_normalized_and_positive():
     for arr in (app, gamma):
         assert np.allclose(arr.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(arr > 0.0)
+
+
+def test_merge_footprint_is_about_three_arrays():
+    # M=7, B=8, N=420: the evidence and the sweep's alpha and beta buffer,
+    # about three (N, B, 2^M) arrays, plus one merge block
+    samples, amps, sigmas, _ = _stack(13, 7, 420, 8, 0.05, False)
+    msdd.msdd_app(samples, 7, amps, sigmas)
+    tracemalloc.start()
+    try:
+        msdd.msdd_app(samples, 7, amps, sigmas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.3 * 420 * 8 * 2 ** 7 * 8
+
+
+def test_empty_round_rejected():
+    with pytest.raises(ValueError, match="at least one packet"):
+        msdd.msdd_app([], 2, 1.0, 1.0)
+
+
+def test_unequal_packet_lengths_rejected():
+    samples, amps, sigmas, _ = _stack(14, 2, 8, 2, 0.05, False)
+    short = acr.CorrSamples(samples[1].values[:-1])
+    with pytest.raises(ValueError, match="differ in length"):
+        msdd.msdd_app([samples[0], short], 2, amps, sigmas)
+
+
+def test_per_packet_statistics_count_checked():
+    samples, amps, sigmas, _ = _stack(15, 2, 8, 3, 0.05, False)
+    with pytest.raises(ValueError, match="one value per packet"):
+        msdd.msdd_app(samples, 2, amps[:2], sigmas)
+    with pytest.raises(ValueError, match="one value per packet"):
+        msdd.msdd_app(samples, 2, amps, sigmas + sigmas)
+    # scalars still broadcast over the stack
+    app, _ = msdd.msdd_app(samples, 2, amps[0], sigmas[0])
+    assert app.shape == (3, 8, 2)
 
 
 def test_window_mismatch_rejected():
@@ -374,7 +420,7 @@ def test_noiseless_detection_recovers_symbols():
 
 def test_dd_sign_rule_and_tie_break():
     vals = np.array([[0.4], [-0.1], [0.0], [-7.0]])
-    samples = acr.CorrSamples(vals, np.zeros((4, 1), dtype=bool))
+    samples = acr.CorrSamples(vals)
     assert msdd.detect_dd(samples).tolist() == [1, -1, 1, -1]
 
 

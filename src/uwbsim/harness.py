@@ -21,6 +21,7 @@ packets in rounds of the same size.
 """
 
 import csv
+import math
 import os
 from dataclasses import dataclass, fields, replace
 from functools import partial
@@ -79,8 +80,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown test case {self.test_case}")
         if not self.snr_db:
             raise ConfigError("snr_db grid must be non-empty")
-        if not np.isfinite([*self.snr_db, *self.trace_snr_db]).all():
-            raise ConfigError("snr_db and trace_snr_db must be finite")
         if self.target_errors <= 0 or self.max_bits <= 0 or self.n_packets <= 0:
             raise ConfigError("stopping rule values must be positive")
         if min(self.n_symbols, self.k_info, self.outer_iters, self.inner_iters,
@@ -133,12 +132,18 @@ class ExperimentConfig:
                 self.n_symbols - m for m in range(int(self.m_list[0]))) < 1000:
             raise ConfigError("too few noise samples for a stable histogram; "
                               "raise n_packets or n_symbols")
+        rate = 1.0
         if self.test_case == 4:
             try:
-                ldpc.default_code(self.k_info, self.n_coded)
+                rate = ldpc.default_code(self.k_info, self.n_coded).rate
             except (ValueError, RuntimeError) as e:
                 raise ConfigError(f"no (3,6)-regular code for k_info={self.k_info}, "
                                   f"n_coded={self.n_coded}: {e}") from e
+        for snr in (*self.snr_db, *self.trace_snr_db):
+            if not _noise_model_is_finite(snr, rate):
+                raise ConfigError(
+                    f"SNR {snr} dB gives no finite, positive noise model; "
+                    "snr_db and trace_snr_db must lie within about +-1500 dB")
 
 
 def default_config(test_case: int) -> ExperimentConfig:
@@ -295,6 +300,20 @@ def _snr_lin(snr_db: float) -> float:
 def n0_for_snr(snr_db: float, E_g: float, rate: float, params: SystemParams) -> float:
     """Invert SNR = N_f*E_g/(R*N_0)."""
     return params.N_f * E_g / (rate * _snr_lin(snr_db))
+
+
+def _noise_model_is_finite(snr_db: float, rate: float) -> bool:
+    """Whether 10**(snr/10), N0, N0**2 and sigma_n^2 at unit E_g are all
+    finite and positive: past about +-1500 dB N0**2 overflows (Python
+    raises) or underflows to 0, and past about +-3000 dB so does the SNR."""
+    params = SystemParams()
+    try:
+        N0 = n0_for_snr(snr_db, 1.0, rate, params)
+        values = (_snr_lin(snr_db), N0, N0 ** 2, acr.noise_variance(
+            params.N_f, 1.0, N0, params.W, params.T_g))
+    except (OverflowError, ZeroDivisionError):
+        return False
+    return all(math.isfinite(v) and v > 0 for v in values)
 
 
 def _packet_rng(seed: int, tc: int, point: int, scheme: str, m: int,

@@ -95,7 +95,7 @@ def run_joint(samples, code: ldpc.LdpcCode, imaps, models,
         for j, gamma_sym in zip(live, gammas):
             gamma_code = deinterleave(gamma_sym, imaps[j])
             res[j] = ldpc.decode(code, beliefs.to_llr(gamma_code),
-                                 max_iter=inner_iters, early_stop=True)
+                                 max_iter=inner_iters)
             zeta[j] = beliefs.from_llr(res[j].extrinsic_llr)
             if true_coded_bits is not None:
                 truth = np.asarray(true_coded_bits[j])

@@ -10,8 +10,13 @@ arithmetic of ``Generator.choice(replace=False, p=...)``, so H is unchanged.
 Construction restarts (bounded) until the matrix is also full rank, which
 makes the realized rate equal the design rate K/N and gives a systematic
 encoder on the non-pivot columns of the GF(2) reduced form.
+
+The seed-1 (800, 1600) code every coded campaign uses ships beside this
+module as ``default_code.npz`` (H's column rows, the pivot columns and the
+packed encoder), so a process loads it instead of drawing it again.
 """
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +27,8 @@ _PROD_EPS = 1e-15
 # every code is (3,6)-regular; construction gives up after this many draws
 _COL_W, _ROW_W = 3, 6
 _MAX_ATTEMPTS = 50
+# (k, n) -> file beside this module holding that size's seed-1 code
+_SHIPPED = {(800, 1600): "default_code.npz"}
 
 
 @dataclass(frozen=True)
@@ -142,6 +149,13 @@ def _try_build_H(n: int, n_rows: int, rng):
         for r in pick:
             cap[r] -= 1.0
         col_rows[j] = pick
+    return _H_from_columns(col_rows, n_rows)
+
+
+def _H_from_columns(col_rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """The (n_rows, n) parity-check matrix whose column j has ones in the
+    rows ``col_rows[j]``."""
+    n = len(col_rows)
     H = np.zeros((n_rows, n), dtype=np.uint8)
     H[col_rows, np.arange(n)[:, None]] = 1
     return H
@@ -170,11 +184,26 @@ def construct_regular(k: int = 800, n: int = 1600, seed: int = 1) -> LdpcCode:
 _default_code: dict[tuple, LdpcCode] = {}
 
 
+def _load_code(path: str) -> LdpcCode:
+    """The seed-1 code stored in `path`, through the same checks."""
+    with np.load(path) as f:
+        col_rows, pivots, B_packed = (f["col_rows"], f["parity_positions"],
+                                      f["B_packed"])
+    n = len(col_rows)
+    pivots = pivots.astype(np.int64)
+    return LdpcCode(H=_H_from_columns(col_rows, len(pivots)),
+                    info_positions=np.delete(np.arange(n), pivots),
+                    parity_positions=pivots, B_packed=B_packed, seed=1)
+
+
 def default_code(k: int = 800, n: int = 1600) -> LdpcCode:
-    """Cached standard code used by the experiment harness (seed 1)."""
+    """Cached standard code used by the experiment harness (seed 1): loaded
+    from the shipped file at its size, constructed at any other."""
     key = (k, n)
     if key not in _default_code:
-        _default_code[key] = construct_regular(k, n, 1)
+        _default_code[key] = (
+            _load_code(os.path.join(os.path.dirname(__file__), _SHIPPED[key]))
+            if key in _SHIPPED else construct_regular(k, n, 1))
     return _default_code[key]
 
 
@@ -209,9 +238,10 @@ def syndrome_weight(code: LdpcCode, hard_bits: np.ndarray) -> int:
     return int(np.count_nonzero(parity))
 
 
-def decode(code: LdpcCode, channel_llr: np.ndarray, max_iter: int = 10,
-           early_stop: bool = True) -> DecodeResult:
-    """Flooding sum-product decoding in the LLR domain.
+def decode(code: LdpcCode, channel_llr: np.ndarray,
+           max_iter: int = 10) -> DecodeResult:
+    """Flooding sum-product decoding in the LLR domain; stops after the
+    first iteration whose posterior hard decisions satisfy every check.
 
     Messages live slot-major, (col_w, n) at the variables and (row_w,
     n_checks) at the checks, so every sum and product over a node's edges
@@ -251,7 +281,7 @@ def decode(code: LdpcCode, channel_llr: np.ndarray, max_iter: int = 10,
             np.add(extr, row, out=extr)
         np.add(llr, extr, out=post)
         n_run = it + 1
-        if early_stop and syndrome_weight(code, post < 0) == 0:
+        if syndrome_weight(code, post < 0) == 0:
             break
     hard = (post < 0).astype(np.uint8)
     n_bad = syndrome_weight(code, hard)

@@ -1,5 +1,6 @@
 """Experiment harness: configs, helpers, runners, and CSV reproducibility."""
 
+import csv
 import os
 import signal
 import subprocess
@@ -166,6 +167,37 @@ def test_cli_refuses_non_finite_snr_flag(value, tmp_path, capsys):
                      "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tc", [3, 4])
+@pytest.mark.parametrize("snr", ["3000", "-3000", "4000", "-4000"])
+def test_snr_past_the_noise_model_is_a_config_error(tc, snr, tmp_path, capsys):
+    # 4000 dB overflowed 10**(snr/10), -4000 dB divided by its 0.0, and
+    # -3000 dB overflowed N0**2: each exited 1 with a raw traceback
+    out = tmp_path / "out"
+    assert cli.main([f"tc{tc}", "--snr-db", snr, "--packets", "1", "--m", "2",
+                     "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="noise model"):
+        replace(default_config(4), trace_snr_db=(12.4, float(snr))).validate()
+
+
+@pytest.mark.parametrize("tc", [3, 4])
+@pytest.mark.parametrize("snr", ["300", "-300"])
+def test_extreme_representable_snr_runs(tc, snr, tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"trace_snr_db = {snr}\ntrace_packets = 1\n")
+    out = tmp_path / "out"
+    assert cli.main([f"tc{tc}", "--config", str(cfg_file), "--snr-db", snr,
+                     "--packets", "1", "--m", "2", "--out", str(out)]) == 0
+    names = ["tc3_ber.csv"] if tc == 3 else ["tc4_ber.csv", "tc4_trace.csv"]
+    for name in names:
+        with open(out / name) as f:
+            rows = list(csv.DictReader(f))
+        assert rows
+        assert all(np.isfinite(float(v)) for row in rows
+                   for k, v in row.items() if k not in ("scheme", "eg_mode"))
 
 
 @contextmanager
@@ -639,6 +671,27 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_ldpc_import_loads_no_other_module():
+    # the package resolves its re-exported names on first use, so the set-up
+    # of a coded run loads neither the harness nor numpy.random
+    src = os.path.dirname(os.path.dirname(uwbsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys; from uwbsim import ldpc; ldpc.default_code(); "
+            "print(sorted(m for m in ('uwbsim.harness', 'uwbsim.waveform', "
+            "'numpy.random') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    for name in uwbsim.__all__:
+        assert getattr(uwbsim, name).__name__ == name
+        assert name in dir(uwbsim)
+    with pytest.raises(AttributeError):
+        uwbsim.no_such_name
 
 
 def test_waveform_and_discrete_paths_agree():

@@ -263,16 +263,14 @@ def test_syndrome_rejects_wrong_length(small):
 # decoding
 
 
-@pytest.mark.parametrize("early_stop", [True, False])
-def test_decode_check_counts_match_dense_oracle(code, early_stop):
+def test_decode_check_counts_match_dense_oracle(code):
     # from far below the waterfall (most checks fail) to inside it
     rng = np.random.default_rng(6)
     seen_bad = seen_good = False
     for ebn0_db in (-2.0, 0.5, 1.0, 1.5, 2.5):
         sigma = float(np.sqrt(1.0 / (2 * code.rate * 10 ** (ebn0_db / 10))))
         cw = ldpc.encode(code, rng.integers(0, 2, code.k))
-        res = ldpc.decode(code, _bpsk_llr(cw, sigma, rng), max_iter=8,
-                          early_stop=early_stop)
+        res = ldpc.decode(code, _bpsk_llr(cw, sigma, rng), max_iter=8)
         n_bad = int(_dense_syndrome(code, res.hard_bits).sum())
         assert res.n_unsatisfied == n_bad
         assert res.checks_satisfied == (n_bad == 0)
@@ -292,7 +290,7 @@ def test_confident_valid_codeword_is_fixed_point(code):
 
 
 def test_zero_llrs_stay_uninformative(small):
-    res = ldpc.decode(small, np.zeros(small.n), max_iter=5, early_stop=False)
+    res = ldpc.decode(small, np.zeros(small.n), max_iter=5)
     assert np.allclose(res.extrinsic_llr, 0.0)
     assert np.allclose(res.posterior_llr, 0.0)
 
@@ -302,11 +300,11 @@ def test_extrinsic_excludes_own_channel_llr(small):
     # other variables' channel LLRs
     rng = np.random.default_rng(3)
     base = rng.normal(0.0, 2.0, small.n)
-    ref = ldpc.decode(small, base, max_iter=1, early_stop=False)
+    ref = ldpc.decode(small, base, max_iter=1)
     for i in (0, 17, small.n - 1):
         bumped = base.copy()
         bumped[i] += 10.0
-        out = ldpc.decode(small, bumped, max_iter=1, early_stop=False)
+        out = ldpc.decode(small, bumped, max_iter=1)
         assert out.extrinsic_llr[i] == pytest.approx(ref.extrinsic_llr[i],
                                                      rel=1e-12)
 
@@ -331,7 +329,7 @@ def test_decoding_cleans_awgn_at_moderate_snr(code):
 def test_posterior_is_channel_plus_extrinsic(small):
     rng = np.random.default_rng(5)
     llr = rng.normal(0.0, 2.0, small.n)
-    res = ldpc.decode(small, llr, max_iter=3, early_stop=False)
+    res = ldpc.decode(small, llr, max_iter=3)
     assert np.allclose(res.posterior_llr, llr + res.extrinsic_llr,
                        rtol=1e-12, atol=1e-12)
 
@@ -354,7 +352,7 @@ def _reference_edges(code):
             "col_w": int(code.H.sum(axis=0)[0])}
 
 
-def _reference_decode(code, channel_llr, max_iter=10, early_stop=True):
+def _reference_decode(code, channel_llr, max_iter=10):
     """Reference: the flooding decoder written with short-axis reductions
     (per-node sums, np.cumprod prefix and suffix products); the syndrome
     is the dense oracle."""
@@ -383,7 +381,7 @@ def _reference_decode(code, channel_llr, max_iter=10, early_stop=True):
         n_run = it + 1
         totals = llr + c2v_var.reshape(code.n, col_w).sum(axis=1)
         hard = (totals < 0).astype(np.uint8)
-        if early_stop and not _dense_syndrome(code, hard).any():
+        if not _dense_syndrome(code, hard).any():
             break
     extr = c2v_var.reshape(code.n, col_w).sum(axis=1)
     post = llr + extr
@@ -401,12 +399,12 @@ def _same_bits(a, b):
 
 @settings(max_examples=80, deadline=None)
 @given(name=st.sampled_from(["small", "default"]),
-       early_stop=st.booleans(), max_iter=st.integers(1, 10),
+       max_iter=st.integers(1, 10),
        seed=st.integers(0, 2 ** 32 - 1),
        scale=st.sampled_from([0.5, 3.0, 40.0]),
        edge_frac=st.sampled_from([0.0, 0.1, 0.5, 1.0]))
-def test_decode_matches_reduction_reference(small, code, name, early_stop,
-                                            max_iter, seed, scale, edge_frac):
+def test_decode_matches_reduction_reference(small, code, name, max_iter,
+                                            seed, scale, edge_frac):
     code = small if name == "small" else code
     rng = np.random.default_rng(seed)
     llr = rng.normal(rng.uniform(-2.0, 2.0), scale, code.n)
@@ -415,9 +413,8 @@ def test_decode_matches_reduction_reference(small, code, name, early_stop,
     edge = rng.random(code.n) < edge_frac
     llr[edge] = rng.choice([600.0, -600.0, 1e4, -1e4, 45.0, -45.0, 0.0, -0.0],
                            size=int(edge.sum()))
-    got = ldpc.decode(code, llr, max_iter=max_iter, early_stop=early_stop)
-    want = _reference_decode(code, llr, max_iter=max_iter,
-                             early_stop=early_stop)
+    got = ldpc.decode(code, llr, max_iter=max_iter)
+    want = _reference_decode(code, llr, max_iter=max_iter)
     for field in ("hard_bits", "posterior_llr", "extrinsic_llr"):
         assert _same_bits(getattr(got, field), getattr(want, field)), field
     assert got.n_iterations == want.n_iterations

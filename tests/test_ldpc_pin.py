@@ -4,10 +4,12 @@ Every coded result depends on the exact parity-check matrix that
 ``ldpc.construct_regular`` draws from its seed, and on the systematic
 encoder derived from it.  These digests were taken from the column-by-column
 construction with ``Generator.choice`` draws; a faster construction must
-reproduce them unchanged.
+reproduce them unchanged.  The (800, 1600) seed-1 code is pinned twice: as
+constructed, and as ``default_code()`` loads it from the shipped file.
 """
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -40,10 +42,7 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("k,n,seed", list(PINNED))
-def test_code_bytes_are_pinned(k, n, seed):
-    code = (ldpc.default_code() if (k, n, seed) == (800, 1600, 1)
-            else ldpc.construct_regular(k, n, seed))
+def _assert_pinned(code, k, n, seed):
     fields = (code.H, code.info_positions, code.parity_positions,
               code.B_packed)
     assert [a.dtype for a in fields] == [np.uint8, np.int64, np.int64,
@@ -52,3 +51,36 @@ def test_code_bytes_are_pinned(k, n, seed):
                                          (n - k, -(-k // 8))]
     digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in fields)
     assert digests == PINNED[(k, n, seed)]
+
+
+@pytest.mark.parametrize("k,n,seed", list(PINNED))
+def test_code_bytes_are_pinned(k, n, seed):
+    _assert_pinned(ldpc.construct_regular(k, n, seed), k, n, seed)
+
+
+def test_shipped_default_code_bytes_are_pinned():
+    _assert_pinned(ldpc.default_code(), 800, 1600, 1)
+
+
+def test_default_size_loads_without_constructing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"construct_regular{args} called")
+
+    monkeypatch.setattr(ldpc, "_default_code", {})
+    monkeypatch.setattr(ldpc, "construct_regular", refuse)
+    _assert_pinned(ldpc.default_code(800, 1600), 800, 1600, 1)
+    # every other size is still constructed
+    with pytest.raises(AssertionError, match=r"construct_regular\(24, 48, 1\)"):
+        ldpc.default_code(24, 48)
+
+
+def test_shipped_file_with_irregular_H_is_refused(tmp_path):
+    path = tmp_path / "code.npz"
+    with np.load(os.path.join(os.path.dirname(ldpc.__file__),
+                              "default_code.npz")) as f:
+        arrays = dict(f)
+    # column 0 repeats column 1's rows, so row weights leave 6
+    arrays["col_rows"][0] = arrays["col_rows"][1]
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match="regular"):
+        ldpc._load_code(str(path))

@@ -17,35 +17,22 @@ the block detector), `reference` (brute-force oracles), `harness`
 (test-case experiments), `cli` (command line).
 """
 
-import importlib
+from .acr import BlockCorrSamples, CorrSamples, NoiseModel
+from .channel import ChannelRealization, generate_cm2
+from .harness import ExperimentConfig, default_config
+from .joint import run_joint
+from .ldpc import LdpcCode, construct_regular, decode, encode
+from .msdd import (bmsdd_detect, bmsdd_extrinsic, detect_dd, detect_mmsdd,
+                   msdd_app)
+from .params import SystemParams
+from .txchain import InterleaverMap
 
 __version__ = "0.1.0"
 
-# re-exported name -> module defining it (PEP 562): a module is imported on
-# the first access of one of its names, so `from uwbsim import ldpc` loads
-# ldpc and what ldpc imports, nothing more
-_EXPORTS = {name: module for module, names in (
-    ("acr", "BlockCorrSamples CorrSamples NoiseModel"),
-    ("channel", "ChannelRealization generate_cm2"),
-    ("harness", "ExperimentConfig default_config"),
-    ("joint", "run_joint"),
-    ("ldpc", "LdpcCode construct_regular decode encode"),
-    ("msdd", "bmsdd_detect bmsdd_extrinsic detect_dd detect_mmsdd msdd_app"),
-    ("params", "SystemParams"),
-    ("txchain", "InterleaverMap"),
-) for name in names.split()}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name):
-    if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__),
-                    name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
+__all__ = [
+    "BlockCorrSamples", "ChannelRealization", "CorrSamples",
+    "ExperimentConfig", "InterleaverMap", "LdpcCode", "NoiseModel",
+    "SystemParams", "bmsdd_detect", "bmsdd_extrinsic", "construct_regular",
+    "decode", "default_config", "detect_dd", "detect_mmsdd", "encode",
+    "generate_cm2", "msdd_app", "run_joint",
+]

@@ -27,8 +27,8 @@ _PROD_EPS = 1e-15
 # every code is (3,6)-regular; construction gives up after this many draws
 _COL_W, _ROW_W = 3, 6
 _MAX_ATTEMPTS = 50
-# (k, n) -> file beside this module holding that size's seed-1 code
-_SHIPPED = {(800, 1600): "default_code.npz"}
+# the seed-1 (800, 1600) code, stored beside this module
+_SHIPPED_PATH = os.path.join(os.path.dirname(__file__), "default_code.npz")
 
 
 @dataclass(frozen=True)
@@ -201,9 +201,8 @@ def default_code(k: int = 800, n: int = 1600) -> LdpcCode:
     from the shipped file at its size, constructed at any other."""
     key = (k, n)
     if key not in _default_code:
-        _default_code[key] = (
-            _load_code(os.path.join(os.path.dirname(__file__), _SHIPPED[key]))
-            if key in _SHIPPED else construct_regular(k, n, 1))
+        _default_code[key] = (_load_code(_SHIPPED_PATH) if key == (800, 1600)
+                              else construct_regular(k, n, 1))
     return _default_code[key]
 
 

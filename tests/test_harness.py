@@ -183,6 +183,17 @@ def test_snr_past_the_noise_model_is_a_config_error(tc, snr, tmp_path, capsys):
         replace(default_config(4), trace_snr_db=(12.4, float(snr))).validate()
 
 
+def _assert_finite_rows(out_dir):
+    names = sorted(n for n in os.listdir(out_dir) if n.endswith(".csv"))
+    assert names
+    for name in names:
+        with open(os.path.join(out_dir, name)) as f:
+            rows = list(csv.DictReader(f))
+        assert rows, name
+        assert all(np.isfinite(float(v)) for row in rows
+                   for k, v in row.items() if k not in ("scheme", "eg_mode")), name
+
+
 @pytest.mark.parametrize("tc", [3, 4])
 @pytest.mark.parametrize("snr", ["300", "-300"])
 def test_extreme_representable_snr_runs(tc, snr, tmp_path):
@@ -191,13 +202,33 @@ def test_extreme_representable_snr_runs(tc, snr, tmp_path):
     out = tmp_path / "out"
     assert cli.main([f"tc{tc}", "--config", str(cfg_file), "--snr-db", snr,
                      "--packets", "1", "--m", "2", "--out", str(out)]) == 0
-    names = ["tc3_ber.csv"] if tc == 3 else ["tc4_ber.csv", "tc4_trace.csv"]
-    for name in names:
-        with open(out / name) as f:
-            rows = list(csv.DictReader(f))
-        assert rows
-        assert all(np.isfinite(float(v)) for row in rows
-                   for k, v in row.items() if k not in ("scheme", "eg_mode"))
+    _assert_finite_rows(out)
+
+
+# the outermost SNRs validate() accepts (to 0.01 dB), at rate 1 and rate 1/2
+_SNR_EDGES = {1.0: (-750.63, 1638.03), 0.5: (-747.62, 1641.04)}
+
+
+@pytest.mark.parametrize("tc", [1, 2, 3, 4])
+@pytest.mark.parametrize("side", [0, 1])
+def test_snr_at_the_accepted_edge_writes_finite_rows(tc, side, tmp_path):
+    # at -1519.76 dB, which an earlier rule accepted, tc1's noise variance
+    # and tc2's confidence interval came out inf; CM2 channels and the
+    # estimated E_g run at each edge
+    snr = _SNR_EDGES[0.5 if tc == 4 else 1.0][side]
+    cfg = replace(default_config(tc), snr_db=(snr,), **{
+        1: dict(n_symbols=20, n_packets=18),
+        2: dict(m_list=(2, 7), n_packets=3),
+        3: dict(path="waveform", channel_mode="cm2", m_list=(2,),
+                n_symbols=20, max_bits=40, eg_modes=("perfect", "estimated")),
+        4: dict(m_list=(2,), max_bits=800, trace_snr_db=(snr,),
+                trace_packets=1, eg_modes=("perfect", "estimated")),
+    }[tc])
+    beyond = snr + (0.01 if side else -0.01)
+    with pytest.raises(ConfigError, match="noise model"):
+        replace(cfg, snr_db=(beyond,)).validate()
+    getattr(harness, f"run_testcase{tc}")(cfg, tmp_path)
+    _assert_finite_rows(tmp_path)
 
 
 @contextmanager
@@ -671,27 +702,6 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
-
-
-def test_ldpc_import_loads_no_other_module():
-    # the package resolves its re-exported names on first use, so the set-up
-    # of a coded run loads neither the harness nor numpy.random
-    src = os.path.dirname(os.path.dirname(uwbsim.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys; from uwbsim import ldpc; ldpc.default_code(); "
-            "print(sorted(m for m in ('uwbsim.harness', 'uwbsim.waveform', "
-            "'numpy.random') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "[]"
-
-
-def test_every_exported_name_resolves():
-    for name in uwbsim.__all__:
-        assert getattr(uwbsim, name).__name__ == name
-        assert name in dir(uwbsim)
-    with pytest.raises(AttributeError):
-        uwbsim.no_such_name
 
 
 def test_waveform_and_discrete_paths_agree():

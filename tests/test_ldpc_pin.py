@@ -9,7 +9,6 @@ constructed, and as ``default_code()`` loads it from the shipped file.
 """
 
 import hashlib
-import os
 
 import numpy as np
 import pytest
@@ -76,8 +75,7 @@ def test_default_size_loads_without_constructing(monkeypatch):
 
 def test_shipped_file_with_irregular_H_is_refused(tmp_path):
     path = tmp_path / "code.npz"
-    with np.load(os.path.join(os.path.dirname(ldpc.__file__),
-                              "default_code.npz")) as f:
+    with np.load(ldpc._SHIPPED_PATH) as f:
         arrays = dict(f)
     # column 0 repeats column 1's rows, so row weights leave 6
     arrays["col_rows"][0] = arrays["col_rows"][1]

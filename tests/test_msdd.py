@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from uwbsim import acr, beliefs, msdd, reference
 from uwbsim.params import SystemParams
@@ -216,6 +216,10 @@ def _stack(seed, m, n, b, noise, saturate):
        extra=st.integers(0, 33), b=st.integers(1, 9),
        noise=st.sampled_from([1e-9, 1e-4, 0.05, 0.5, 5.0]),
        saturate=st.booleans())
+@example(seed=21, m=2, extra=0, b=1, noise=1e-9, saturate=True)
+@example(seed=22, m=2, extra=33, b=2, noise=5.0, saturate=False)
+@example(seed=23, m=2, extra=7, b=3, noise=0.05, saturate=True)
+@example(seed=24, m=2, extra=19, b=4, noise=1e-4, saturate=True)
 def test_batched_sweep_matches_single_sequences(seed, m, extra, b, noise,
                                                 saturate):
     n = m + extra
@@ -242,6 +246,31 @@ def test_batched_sweep_matches_single_sequences(seed, m, extra, b, noise,
         assert np.array_equal(apps[j], app)
         app, _ = _app(samples[j], m, amps[j], sigmas[j])
         assert np.array_equal(hard[j], beliefs.hard(app))
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4])
+def test_m2_sweep_matches_single_sequence_loops(b):
+    # M=2 stacks on both sides of the scalar-loop threshold, N from 2 to
+    # 1600, evidence over 10 decades of noise, saturated priors, and -inf
+    # evidence at most once per step so that no row is -inf throughout
+    cases = [(2, 1e-9), (3, 5.0), (50, 1e-4), (420, 0.5), (1600, 0.05),
+             (300, 0.05)]
+    for k, (n, noise) in enumerate(cases):
+        samples, amps, sigmas, priors = _stack(100 * b + k, 2, n, b, noise,
+                                               True)
+        logE = np.stack([msdd.log_evidence_matrix(s, A, v)
+                         for s, A, v in zip(samples, amps, sigmas)], axis=1)
+        if k == len(cases) - 1:
+            rng = np.random.default_rng(b)
+            hit = rng.random((n, b)) < 0.2
+            logE[hit, rng.integers(0, 4, (n, b))[hit]] = -np.inf
+        logp = np.stack([msdd._log_priors(p, n) for p in priors], axis=1)
+        la, lb = msdd._sweep(logE, logp)
+        for j in range(b):
+            assert np.array_equal(la[:, j],
+                                  _forward_loop(logE[:, j], logp[:, j]))
+            assert np.array_equal(lb[:, j, np.arange(4) % 2],
+                                  _backward_loop(logE[:, j], logp[:, j]))
 
 
 @settings(max_examples=60, deadline=None)

@@ -19,6 +19,7 @@ decoder, so every result depends on this fixed scale.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -39,8 +40,7 @@ def log_evidence_matrix(samples: CorrSamples, amplitude: float,
     one (N,M)x(M,2^M) product; signs are +-1 so the quadratic term reduces to
     the per-row count of live samples.
     """
-    if sigma_sq <= 0:
-        raise ValueError("sigma_sq must be positive")
+    _check_statistics(amplitude, sigma_sq)
     Y = samples.values
     keep = _keep_mask(*Y.shape)
     kY = Y * keep
@@ -48,6 +48,13 @@ def log_evidence_matrix(samples: CorrSamples, amplitude: float,
     cross = kY @ _state_signs(samples.window).T
     se = const[:, None] - 2.0 * amplitude * cross
     return -se / sigma_sq
+
+
+def _check_statistics(amplitude: float, sigma_sq: float) -> None:
+    if not math.isfinite(amplitude):
+        raise ValueError("amplitude must be finite")
+    if not (math.isfinite(sigma_sq) and sigma_sq > 0):
+        raise ValueError("sigma_sq must be finite and positive")
 
 
 @functools.lru_cache(maxsize=64)
@@ -64,6 +71,8 @@ def _log_priors(priors, n: int) -> np.ndarray:
     priors = np.asarray(priors, dtype=float)
     if priors.shape != (n, 2):
         raise ValueError("priors must have shape (N, 2)")
+    if not np.isfinite(priors).all():
+        raise ValueError("priors must be finite")
     return np.log(np.maximum(priors, _TINY))
 
 
@@ -75,6 +84,47 @@ BATCH_ELEMENTS = 1 << 19
 # the merge runs over blocks of steps of about this many elements (256 KB),
 # so its working set stays in cache
 MERGE_ELEMENTS = 1 << 15
+# M=2 stacks of at most this many packets sweep on Python floats
+SCALAR_PACKETS = 3
+
+_LN2 = math.log(2.0)
+
+
+def _logaddexp(x: float, y: float) -> float:
+    """np.logaddexp on two floats, in npy_logaddexp's branch order."""
+    if x == y:
+        return x + _LN2
+    d = x - y
+    if d > 0:
+        return x + math.log1p(math.exp(-d))
+    if d <= 0:
+        return y + math.log1p(math.exp(d))
+    return d
+
+
+def _sweep_m2(E: list, P: list, out: np.ndarray) -> None:
+    """The numpy loop's float operations, in its order, for one M=2 packet.
+
+    E holds the (N, 4) evidence and P the (N, 2) log priors as lists; out
+    is the packet's (N, 2, 4) view of R[1:], written once at the end.
+    """
+    lae = _logaddexp
+    a0, a1, a2, a3, b0, b1 = 0.0, -math.inf, -math.inf, -math.inf, 0.0, 0.0
+    fwd, bwd = [], []
+    for (e0, e1, e2, e3), (p0, p1), (f0, f1, f2, f3), (q0, q1) in zip(
+            E, P, reversed(E), reversed(P)):
+        t0, t1 = lae(a0, a2), lae(a1, a3)
+        a0, a1, a2, a3 = t0 + p0 + e0, t0 + p1 + e1, t1 + p0 + e2, t1 + p1 + e3
+        b0, b1 = (lae(b0 + f0 + q0, b1 + f1 + q1),
+                  lae(b0 + f2 + q0, b1 + f3 + q1))
+        m = max(a0, a1, a2, a3)
+        a0, a1, a2, a3 = a0 - m, a1 - m, a2 - m, a3 - m
+        m = max(b0, b1)
+        b0, b1 = b0 - m, b1 - m
+        fwd.append((a0, a1, a2, a3))
+        bwd.append((b0, b1))
+    out[:, 0] = fwd
+    out[:, 1, :2] = bwd
 
 
 def _sweep(logE: np.ndarray, logp: np.ndarray):
@@ -95,6 +145,14 @@ def _sweep(logE: np.ndarray, logp: np.ndarray):
     at -inf.  So one max and one subtract over R[i+1] normalize both rows,
     and exactly: a -inf entry never raises a row max, and -inf minus the
     finite max stays -inf.  alpha and beta come back as views of R.
+
+    The loop runs in one of two ways, chosen by the shape alone.  The numpy
+    loop makes 8 ufunc calls per step whatever B is; at M=2 their fixed
+    cost per call (~1 us) outweighs the work on B*4 elements, so stacks of
+    at most SCALAR_PACKETS M=2 packets run _sweep_m2 on Python floats
+    instead, packet by packet, with the same operations in the same order.
+    Both fill R with the same bits.  Larger stacks, and every other M, pay
+    per element and keep the numpy loop.
     """
     N, B, S = logE.shape
     half = S >> 1
@@ -103,6 +161,10 @@ def _sweep(logE: np.ndarray, logp: np.ndarray):
     R[0, 0, :, 0] = 0.0
     R[0, 1, :, :half] = 0.0
     R[:, 1, :, half:] = -np.inf
+    if S == 4 and B <= SCALAR_PACKETS:
+        for j in range(B):
+            _sweep_m2(logE[:, j].tolist(), logp[:, j].tolist(), R[1:, :, j])
+        return R[:, 0], R[::-1, 1, :, :half]
     t = np.empty((B, half))
     t3 = t[:, :, None]
     # the backward step's sum, as (B, 2, half) by source and as
@@ -251,8 +313,7 @@ def _block_tables(M: int):
 def _block_loglik(blocks: BlockCorrSamples, amplitude: float,
                   sigma_sq: float) -> np.ndarray:
     """log p(block u | hypothesis h), shape (U, 2^M)."""
-    if sigma_sq <= 0:
-        raise ValueError("sigma_sq must be positive")
+    _check_statistics(amplitude, sigma_sq)
     M = blocks.block_size
     _, signs3, valid = _block_tables(M)
     resid = blocks.values[:, None, :, :] - amplitude * signs3[None, :, :, :]

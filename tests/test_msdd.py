@@ -273,6 +273,25 @@ def test_m2_sweep_matches_single_sequence_loops(b):
                                   _backward_loop(logE[:, j], logp[:, j]))
 
 
+def test_m2_sweep_takes_scalar_loop_up_to_threshold():
+    # the scalar loop makes no numpy ufunc call; the numpy loop does
+    rng = np.random.default_rng(18)
+    patch = mock.patch.object(np, "logaddexp",
+                              side_effect=AssertionError("numpy loop"))
+    for b in range(1, msdd.SCALAR_PACKETS + 2):
+        logE = -rng.exponential(3.0, (40, b, 4))
+        logp = np.log(rng.uniform(0.01, 1.0, (40, b, 2)))
+        with patch:
+            if b <= msdd.SCALAR_PACKETS:
+                msdd._sweep(logE, logp)
+            else:
+                with pytest.raises(AssertionError, match="numpy loop"):
+                    msdd._sweep(logE, logp)
+    with patch, pytest.raises(AssertionError, match="numpy loop"):
+        msdd._sweep(-rng.exponential(3.0, (40, 1, 8)),
+                    np.log(rng.uniform(0.01, 1.0, (40, 1, 2))))
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 7),
        b=st.integers(1, 9), block=st.integers(2, 8), full=st.integers(1, 11),
@@ -431,6 +450,46 @@ def test_window_mismatch_rejected():
     with pytest.raises(ValueError):   # one prior belief per packet
         msdd.msdd_app([samples, samples], 2, model.amplitude,
                       model.sigma_n_sq, [np.full((8, 2), 0.5)])
+
+
+def _soft_detectors():
+    """Both soft detectors on one M=2 packet, as f(amplitude, sigma_sq,
+    priors), and the packet's noise model."""
+    rng = np.random.default_rng(19)
+    model = acr.NoiseModel(P.N_f, 1.0, 0.1, P.W, P.T_g)
+    a = 1 - 2 * rng.integers(0, 2, 8)
+    samples = acr.generate_discrete(a, 2, model, rng)
+    blocks = acr.generate_discrete_blocks(a, 2, model, rng)
+    return {
+        "mmsdd": lambda A, s2, p: msdd.msdd_app([samples], 2, A, s2, [p]),
+        "bmsdd": lambda A, s2, p: msdd.bmsdd_extrinsic(blocks, p, A, s2),
+    }, model
+
+
+@pytest.mark.parametrize("detector", ["mmsdd", "bmsdd"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_amplitude_rejected(detector, bad):
+    run, model = _soft_detectors()
+    with pytest.raises(ValueError, match="amplitude must be finite"):
+        run[detector](bad, model.sigma_n_sq, np.full((8, 2), 0.5))
+
+
+@pytest.mark.parametrize("detector", ["mmsdd", "bmsdd"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_sigma_sq_rejected(detector, bad):
+    run, model = _soft_detectors()
+    with pytest.raises(ValueError, match="sigma_sq must be finite"):
+        run[detector](model.amplitude, bad, np.full((8, 2), 0.5))
+
+
+@pytest.mark.parametrize("detector", ["mmsdd", "bmsdd"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_prior_rejected(detector, bad):
+    run, model = _soft_detectors()
+    priors = np.full((8, 2), 0.5)
+    priors[3, 1] = bad
+    with pytest.raises(ValueError, match="priors must be finite"):
+        run[detector](model.amplitude, model.sigma_n_sq, priors)
 
 
 # ---------------------------------------------------------------------------

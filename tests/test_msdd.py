@@ -248,7 +248,8 @@ def test_batched_sweep_matches_single_sequences(seed, m, extra, b, noise,
         assert np.array_equal(hard[j], beliefs.hard(app))
 
 
-@pytest.mark.parametrize("b", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "b", range(1, max(msdd.SCALAR_PACKETS + 1, 5) + 1))
 def test_m2_sweep_matches_single_sequence_loops(b):
     # M=2 stacks on both sides of the scalar-loop threshold, N from 2 to
     # 1600, evidence over 10 decades of noise, saturated priors, and -inf
@@ -271,6 +272,34 @@ def test_m2_sweep_matches_single_sequence_loops(b):
                                   _forward_loop(logE[:, j], logp[:, j]))
             assert np.array_equal(lb[:, j, np.arange(4) % 2],
                                   _backward_loop(logE[:, j], logp[:, j]))
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4, 5])
+def test_m2_merge_matches_frozen_merge(b):
+    # the merge alone at M=2, N from 2 to 1600, saturated priors, -inf
+    # evidence once per step, and -inf in both destinations of one bit,
+    # which makes every term of that bit's log-sum-exp -inf
+    cases = [(2, 1e-9, None), (3, 5.0, None), (50, 1e-4, "one"),
+             (420, 0.5, None), (1600, 0.05, "one"), (300, 0.05, "pair")]
+    for k, (n, noise, holes) in enumerate(cases):
+        samples, amps, sigmas, priors = _stack(200 * b + k, 2, n, b, noise,
+                                               True)
+        logE = np.stack([msdd.log_evidence_matrix(s, A, v)
+                         for s, A, v in zip(samples, amps, sigmas)], axis=1)
+        rng = np.random.default_rng(300 + b)
+        hit = rng.random((n, b)) < 0.2
+        col = rng.integers(0, 4, (n, b))[hit]
+        if holes == "one":
+            logE[hit, col] = -np.inf
+        elif holes == "pair":
+            logE[hit, col & 1] = -np.inf
+            logE[hit, (col & 1) + 2] = -np.inf
+        logp = np.stack([msdd._log_priors(p, n) for p in priors], axis=1)
+        la, lb = msdd._sweep(logE, logp)
+        lg = msdd._merge_log(la, lb, logE.copy())
+        assert np.array_equal(lg, frozen.merge_log(la, lb, logE.copy()))
+        if holes == "pair":
+            assert np.isneginf(lg).any()
 
 
 def test_m2_sweep_takes_scalar_loop_up_to_threshold():

@@ -40,8 +40,8 @@ def log_evidence_matrix(samples: CorrSamples, amplitude: float,
     one (N,M)x(M,2^M) product; signs are +-1 so the quadratic term reduces to
     the per-row count of live samples.
     """
-    _check_statistics(amplitude, sigma_sq)
     Y = samples.values
+    _check_inputs(Y, amplitude, sigma_sq)
     keep = _keep_mask(*Y.shape)
     kY = Y * keep
     const = np.sum(kY * Y, axis=1) + amplitude ** 2 * keep.sum(axis=1)
@@ -50,7 +50,10 @@ def log_evidence_matrix(samples: CorrSamples, amplitude: float,
     return -se / sigma_sq
 
 
-def _check_statistics(amplitude: float, sigma_sq: float) -> None:
+def _check_inputs(values: np.ndarray, amplitude: float,
+                  sigma_sq: float) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError("samples must be finite")
     if not math.isfinite(amplitude):
         raise ValueError("amplitude must be finite")
     if not (math.isfinite(sigma_sq) and sigma_sq > 0):
@@ -84,47 +87,51 @@ BATCH_ELEMENTS = 1 << 19
 # the merge runs over blocks of steps of about this many elements (256 KB),
 # so its working set stays in cache
 MERGE_ELEMENTS = 1 << 15
-# M=2 stacks of at most this many packets sweep on Python floats
-SCALAR_PACKETS = 3
+# M=2 stacks of at most this many packets sweep on Python floats: the
+# largest B at which that loop beats the numpy loop at N = 420 and 1600
+SCALAR_PACKETS = 6
 
 _LN2 = math.log(2.0)
 
 
-def _logaddexp(x: float, y: float) -> float:
-    """np.logaddexp on two floats, in npy_logaddexp's branch order."""
-    if x == y:
-        return x + _LN2
-    d = x - y
-    if d > 0:
-        return x + math.log1p(math.exp(-d))
-    if d <= 0:
-        return y + math.log1p(math.exp(d))
-    return d
-
-
-def _sweep_m2(E: list, P: list, out: np.ndarray) -> None:
+def _sweep_m2(E: np.ndarray, P: np.ndarray, out: np.ndarray) -> None:
     """The numpy loop's float operations, in its order, for one M=2 packet.
 
-    E holds the (N, 4) evidence and P the (N, 2) log priors as lists; out
-    is the packet's (N, 2, 4) view of R[1:], written once at the end.
+    E is the packet's (N, 4) evidence and P its (N, 2) log priors; out is
+    its (N, 2, 4) view of R[1:], written once at the end.  Each logaddexp
+    is inlined in npy_logaddexp's branch order: x == y gives x + ln 2, then
+    the d = x - y > 0 branch, tested as x > y (the same for unequal
+    floats), then d <= 0.
     """
-    lae = _logaddexp
+    exp, log1p, ln2 = math.exp, math.log1p, _LN2
     a0, a1, a2, a3, b0, b1 = 0.0, -math.inf, -math.inf, -math.inf, 0.0, 0.0
     fwd, bwd = [], []
+    fa, ba = fwd.extend, bwd.extend
+    E, P = E.tolist(), P.tolist()
     for (e0, e1, e2, e3), (p0, p1), (f0, f1, f2, f3), (q0, q1) in zip(
             E, P, reversed(E), reversed(P)):
-        t0, t1 = lae(a0, a2), lae(a1, a3)
+        t0 = (a0 + ln2 if a0 == a2 else a0 + log1p(exp(a2 - a0))
+              if a0 > a2 else a2 + log1p(exp(a0 - a2)))
+        t1 = (a1 + ln2 if a1 == a3 else a1 + log1p(exp(a3 - a1))
+              if a1 > a3 else a3 + log1p(exp(a1 - a3)))
         a0, a1, a2, a3 = t0 + p0 + e0, t0 + p1 + e1, t1 + p0 + e2, t1 + p1 + e3
-        b0, b1 = (lae(b0 + f0 + q0, b1 + f1 + q1),
-                  lae(b0 + f2 + q0, b1 + f3 + q1))
-        m = max(a0, a1, a2, a3)
+        x, y, u, v = b0 + f0 + q0, b1 + f1 + q1, b0 + f2 + q0, b1 + f3 + q1
+        b0 = (x + ln2 if x == y else x + log1p(exp(y - x))
+              if x > y else y + log1p(exp(x - y)))
+        b1 = (u + ln2 if u == v else u + log1p(exp(v - u))
+              if u > v else v + log1p(exp(u - v)))
+        # max() of the row, as conditional expressions
+        m = a1 if a1 > a0 else a0
+        m = a2 if a2 > m else m
+        m = a3 if a3 > m else m
         a0, a1, a2, a3 = a0 - m, a1 - m, a2 - m, a3 - m
-        m = max(b0, b1)
+        m = b1 if b1 > b0 else b0
         b0, b1 = b0 - m, b1 - m
-        fwd.append((a0, a1, a2, a3))
-        bwd.append((b0, b1))
-    out[:, 0] = fwd
-    out[:, 1, :2] = bwd
+        fa((a0, a1, a2, a3))
+        ba((b0, b1))
+    N = len(E)
+    out[:, 0] = np.array(fwd).reshape(N, 4)
+    out[:, 1, :2] = np.array(bwd).reshape(N, 2)
 
 
 def _sweep(logE: np.ndarray, logp: np.ndarray):
@@ -146,13 +153,13 @@ def _sweep(logE: np.ndarray, logp: np.ndarray):
     and exactly: a -inf entry never raises a row max, and -inf minus the
     finite max stays -inf.  alpha and beta come back as views of R.
 
-    The loop runs in one of two ways, chosen by the shape alone.  The numpy
-    loop makes 8 ufunc calls per step whatever B is; at M=2 their fixed
-    cost per call (~1 us) outweighs the work on B*4 elements, so stacks of
-    at most SCALAR_PACKETS M=2 packets run _sweep_m2 on Python floats
-    instead, packet by packet, with the same operations in the same order.
-    Both fill R with the same bits.  Larger stacks, and every other M, pay
-    per element and keep the numpy loop.
+    The loop runs in one of two ways, chosen by the shape alone, and both
+    fill R with the same bits.  The numpy loop makes 8 ufunc calls per step
+    whatever B is: a fixed cost per call (~1 us), about 20-30 ms per sweep
+    at M=2, N=1600.  _sweep_m2 makes the same operations in the same order
+    on Python floats, packet by packet: a cost per element, about 3-4 ms
+    per packet there.  So M=2 stacks of at most SCALAR_PACKETS packets take
+    _sweep_m2; larger stacks, and every other M, keep the numpy loop.
     """
     N, B, S = logE.shape
     half = S >> 1
@@ -163,7 +170,7 @@ def _sweep(logE: np.ndarray, logp: np.ndarray):
     R[:, 1, :, half:] = -np.inf
     if S == 4 and B <= SCALAR_PACKETS:
         for j in range(B):
-            _sweep_m2(logE[:, j].tolist(), logp[:, j].tolist(), R[1:, :, j])
+            _sweep_m2(logE[:, j], logp[:, j], R[1:, :, j])
         return R[:, 0], R[::-1, 1, :, :half]
     t = np.empty((B, half))
     t3 = t[:, :, None]
@@ -206,14 +213,34 @@ def _merge_log(la: np.ndarray, lb: np.ndarray, logE: np.ndarray) -> np.ndarray:
     Shifting bit b into state s lands on 2*(s mod 2^(M-1)) + b, so the
     destination term for every source state is a broadcast of the even
     (b = 0) or odd (b = 1) half of the destination row.  A contiguous logE
-    is overwritten with that destination term.  The steps run in blocks of
-    about MERGE_ELEMENTS through one reused buffer; each row sees the same
-    operations as in a merge of all N steps at once.
+    is overwritten with that destination term.
+
+    The merge runs in one of two ways, with the same bits.  At M=2 each bit
+    has four terms, built as (N, B, 2) arrays over b from columns of la and
+    logE: about 20 ufunc calls for the whole stack, each over N*B*2
+    elements.  Their max is exact in any order, and their exps are summed
+    ((x0 + x1) + x2) + x3, the order of np.sum over a row of four.  For
+    larger M the term rows grow as 2^M, so the cost per element dominates:
+    the steps run in blocks of about MERGE_ELEMENTS through one reused
+    buffer, and each row sees the same operations as in a merge of all N
+    steps at once.
     """
     N, B, S = logE.shape
     # indexed by destination state, rows i = 1..N
     post = logE.reshape(N, B, 2, S >> 1)
     beta = lb[1:, :, None, :]
+    if S == 4:
+        np.add(post, beta, out=post)
+        lo, hi = logE[:, :, :2], logE[:, :, 2:]
+        a = la[:-1]
+        x0, x1 = a[:, :, 0, None] + lo, a[:, :, 1, None] + hi
+        x2, x3 = a[:, :, 2, None] + lo, a[:, :, 3, None] + hi
+        m = np.maximum(np.maximum(np.maximum(x0, x1), x2), x3)
+        with np.errstate(invalid="ignore"):
+            for t in (x0, x1, x2, x3):
+                np.exp(np.subtract(t, m, out=t), out=t)
+            out = m + np.log(x0 + x1 + x2 + x3)
+        return np.where(np.isfinite(m), out, -np.inf)
     prev = la[:-1].reshape(N, B, 2, S >> 1)   # source states, rows i-1
     step = min(N, max(1, MERGE_ELEMENTS // (B * S)))
     buf = np.empty((step, B, 2, S >> 1))
@@ -313,7 +340,7 @@ def _block_tables(M: int):
 def _block_loglik(blocks: BlockCorrSamples, amplitude: float,
                   sigma_sq: float) -> np.ndarray:
     """log p(block u | hypothesis h), shape (U, 2^M)."""
-    _check_statistics(amplitude, sigma_sq)
+    _check_inputs(blocks.values, amplitude, sigma_sq)
     M = blocks.block_size
     _, signs3, valid = _block_tables(M)
     resid = blocks.values[:, None, :, :] - amplitude * signs3[None, :, :, :]

@@ -321,6 +321,21 @@ def test_m2_sweep_takes_scalar_loop_up_to_threshold():
                     np.log(rng.uniform(0.01, 1.0, (40, 1, 2))))
 
 
+def test_m2_merge_takes_column_path():
+    # M=2 merges on columns and never reaches the block merge's
+    # _row_logsumexp; every other M does
+    patch = mock.patch.object(msdd, "_row_logsumexp",
+                              side_effect=AssertionError("block merge"))
+    for m in (2, 3):
+        samples, amps, sigmas, priors = _stack(21, m, 30, 2, 0.05, False)
+        with patch:
+            if m == 2:
+                msdd.msdd_app(samples, m, amps, sigmas, priors)
+            else:
+                with pytest.raises(AssertionError, match="block merge"):
+                    msdd.msdd_app(samples, m, amps, sigmas, priors)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 7),
        b=st.integers(1, 9), block=st.integers(2, 8), full=st.integers(1, 11),
@@ -519,6 +534,29 @@ def test_nonfinite_prior_rejected(detector, bad):
     priors[3, 1] = bad
     with pytest.raises(ValueError, match="priors must be finite"):
         run[detector](model.amplitude, model.sigma_n_sq, priors)
+
+
+@pytest.mark.parametrize("case", ["mmsdd-B1", "mmsdd-B4", "bmsdd"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_samples_rejected(case, bad):
+    # one bad live sample in one packet of an M=2, N=12 stack
+    samples, amps, sigmas, priors = _stack(20, 2, 12, 4, 0.05, False)
+    values = samples[2].values.copy()
+    values[5, 1] = bad
+    samples[2] = acr.CorrSamples(values)
+    with pytest.raises(ValueError, match="samples must be finite"):
+        if case == "mmsdd-B1":
+            msdd.msdd_app(samples[2:3], 2, amps[2], sigmas[2], priors[2:3])
+        elif case == "mmsdd-B4":
+            msdd.msdd_app(samples, 2, amps, sigmas, priors)
+        else:
+            rng = np.random.default_rng(20)
+            model = acr.NoiseModel(P.N_f, 1.0, 0.1, P.W, P.T_g)
+            blocks = acr.generate_discrete_blocks(
+                1 - 2 * rng.integers(0, 2, 12), 2, model, rng)
+            blocks.values[3, 1, 0] = bad
+            msdd.bmsdd_extrinsic(blocks, priors[0], model.amplitude,
+                                 model.sigma_n_sq)
 
 
 # ---------------------------------------------------------------------------

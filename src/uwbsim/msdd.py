@@ -120,7 +120,7 @@ def _sweep_m2(E: np.ndarray, P: np.ndarray, out: np.ndarray) -> None:
               if x > y else y + log1p(exp(x - y)))
         b1 = (u + ln2 if u == v else u + log1p(exp(v - u))
               if u > v else v + log1p(exp(u - v)))
-        # max() of the row, as conditional expressions
+        # the row max as max() takes it (the first of equal values)
         m = a1 if a1 > a0 else a0
         m = a2 if a2 > m else m
         m = a3 if a3 > m else m

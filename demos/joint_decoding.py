@@ -32,7 +32,7 @@ def trace_one_packet(snr_db, seed):
     samples = acr.generate_discrete(a, 2, model, rng)
 
     out = joint.run_joint([samples], code, [imap], [model],
-                          early_exit=False, true_coded_bits=[cw])
+                          true_coded_bits=[cw])
     print(f"one packet at {snr_db:g} dB, sliding-window detector, M=2:")
     print("iter   detector correct   decoder correct   checks satisfied")
     for t in out.trace[0]:

@@ -7,18 +7,22 @@ oracle-check runs the randomized detector-vs-enumeration suite.  Exit codes:
 
 import argparse
 import sys
+from dataclasses import fields
 
 from . import harness, reference
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
+    # every flag but --config and --out sets the config field named by dest
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--snr-db", help="comma-separated SNR grid in dB")
-    p.add_argument("--m", help="comma-separated window sizes")
-    p.add_argument("--packets", type=int, help="packet budget per point")
+    p.add_argument("--snr-db", dest="snr_db",
+                   help="comma-separated SNR grid in dB")
+    p.add_argument("--m", dest="m_list", help="comma-separated window sizes")
+    p.add_argument("--packets", dest="n_packets", type=int,
+                   help="packet budget per point")
     p.add_argument("--seed", type=int, help="master seed")
     p.add_argument("--path", choices=["waveform", "discrete"])
-    p.add_argument("--eg", choices=["perfect", "estimated"],
+    p.add_argument("--eg", dest="eg_modes", choices=["perfect", "estimated"],
                    help="restrict to one energy-knowledge mode")
     p.add_argument("--out", help="output directory (overrides UWBSIM_OUT)")
 
@@ -47,24 +51,12 @@ def _build_config(tc: int, args) -> harness.ExperimentConfig:
     cfg = harness.default_config(tc)
     if args.config:
         cfg = harness.apply_overrides(cfg, harness.load_config_file(args.config))
-    overrides = {}
-    if args.snr_db:
-        overrides["snr_db"] = args.snr_db
-    if args.m:
-        overrides["m_list"] = args.m
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.path:
-        overrides["path"] = args.path
-    if args.eg:
-        overrides["eg_modes"] = args.eg
-    if args.packets is not None:
-        overrides["n_packets"] = args.packets
-        # for stopping-rule sweeps the packet budget caps total bits
-        if tc == 3:
-            overrides["max_bits"] = args.packets * cfg.n_symbols
-        elif tc == 4:
-            overrides["max_bits"] = args.packets * cfg.k_info
+    keys = {f.name for f in fields(harness.ExperimentConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in keys}
+    # for stopping-rule sweeps the packet budget caps total bits
+    if args.n_packets is not None and tc in (3, 4):
+        overrides["max_bits"] = args.n_packets * (cfg.n_symbols if tc == 3
+                                                  else cfg.k_info)
     return harness.apply_overrides(cfg, overrides)
 
 

@@ -55,8 +55,8 @@ _TRACE_POINT_BASE = 1000
 @dataclass
 class ExperimentConfig:
     test_case: int
-    snr_db: tuple = ()
-    m_list: tuple = ()
+    snr_db: tuple[float, ...] = ()
+    m_list: tuple[int, ...] = ()
     n_symbols: int = 1600          # uncoded symbols per packet
     k_info: int = 800
     n_coded: int = 1600
@@ -66,12 +66,12 @@ class ExperimentConfig:
     seed: int = 1
     path: str = "discrete"
     channel_mode: str = "ideal"    # "ideal" (single unit tap) or "cm2"
-    eg_modes: tuple = ("perfect",)
-    schemes: tuple = ()
+    eg_modes: tuple[str, ...] = ("perfect",)
+    schemes: tuple[str, ...] = ()
     outer_iters: int = 10
     inner_iters: int = 10
-    trace_snr_db: tuple = ()
-    trace_schemes: tuple = ("joint-mmsdd",)
+    trace_snr_db: tuple[float, ...] = ()
+    trace_schemes: tuple[str, ...] = ("joint-mmsdd",)
     trace_packets: int = 200
     out_dir: str | None = None
 
@@ -179,15 +179,6 @@ def default_config(test_case: int) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # config file / overrides
 
-_FLOAT_LIST_KEYS = {"snr_db", "trace_snr_db"}
-_INT_LIST_KEYS = {"m_list"}
-_STR_LIST_KEYS = {"schemes", "eg_modes", "trace_schemes"}
-_INT_KEYS = {"test_case", "n_symbols", "k_info", "n_coded", "target_errors",
-             "max_bits", "n_packets", "seed", "outer_iters", "inner_iters",
-             "trace_packets"}
-_STR_KEYS = {"path", "channel_mode", "out_dir"}
-
-
 def load_config_file(path) -> dict:
     """Parse a plain `key = value` file; '#' starts a comment."""
     if not os.path.exists(path):
@@ -206,26 +197,26 @@ def load_config_file(path) -> dict:
 
 
 def apply_overrides(cfg: ExperimentConfig, overrides: dict) -> ExperimentConfig:
-    """Apply string-valued overrides (from a config file or CLI) to cfg."""
+    """Apply string-valued overrides (from a config file or CLI) to cfg.
+
+    Each value is parsed by its field's type: a tuple field takes a
+    comma-separated list, whose blank entries are dropped, of its item type.
+    """
+    types = {f.name: f.type for f in fields(ExperimentConfig)}
     kw = {}
     for key, val in overrides.items():
         if val is None:
             continue
+        if key not in types:
+            raise ConfigError(f"unknown config key {key!r}")
+        # the item type of tuple[T, ...], and str of str | None
+        item = getattr(types[key], "__args__", (types[key],))[0]
         try:
-            if key in _FLOAT_LIST_KEYS:
-                kw[key] = tuple(float(v) for v in str(val).split(",") if v != "")
-            elif key in _INT_LIST_KEYS:
-                kw[key] = tuple(int(v) for v in str(val).split(",") if v != "")
-            elif key in _STR_LIST_KEYS:
-                kw[key] = tuple(v.strip() for v in str(val).split(",") if v.strip())
-            elif key in _INT_KEYS:
-                kw[key] = int(val)
-            elif key in _STR_KEYS:
-                kw[key] = str(val)
+            if getattr(types[key], "__origin__", None) is tuple:
+                kw[key] = tuple(item(v.strip()) for v in str(val).split(",")
+                                if v.strip())
             else:
-                raise ConfigError(f"unknown config key {key!r}")
-        except ConfigError:
-            raise
+                kw[key] = item(val)
         except ValueError as e:
             raise ConfigError(f"bad value for {key!r}: {val!r}") from e
     cfg = replace(cfg, **kw)
@@ -294,13 +285,16 @@ class TracePoint:
     checks_satisfied_frac: float
 
 
-def _snr_lin(snr_db: float) -> float:
-    return 10.0 ** (snr_db / 10.0)
-
-
 def n0_for_snr(snr_db: float, E_g: float, rate: float, params: SystemParams) -> float:
     """Invert SNR = N_f*E_g/(R*N_0)."""
-    return params.N_f * E_g / (rate * _snr_lin(snr_db))
+    return params.N_f * E_g / (rate * 10.0 ** (snr_db / 10.0))
+
+
+def _noise_model(snr_db: float, E_g: float, rate: float,
+                 params: SystemParams) -> acr.NoiseModel:
+    """Detector statistics of a packet with captured energy E_g at an SNR."""
+    N0 = n0_for_snr(snr_db, E_g, rate, params)
+    return acr.NoiseModel(params.N_f, E_g, N0, params.W, params.T_g)
 
 
 def _noise_model_is_finite(snr_db: float, rate: float) -> bool:
@@ -309,11 +303,8 @@ def _noise_model_is_finite(snr_db: float, rate: float) -> bool:
     interval is the spread of squared E_g-estimate errors, each of order
     sigma_n^2.  At rate 1 this admits about -750 to +1638 dB; the captured
     energy of a CM2 channel (about 0.05 to 1.3) stays inside that margin."""
-    params = SystemParams()
     try:
-        var = acr.noise_variance(params.N_f, 1.0,
-                                 n0_for_snr(snr_db, 1.0, rate, params),
-                                 params.W, params.T_g)
+        var = _noise_model(snr_db, 1.0, rate, SystemParams()).sigma_n_sq
         return 0.0 < var ** 2 < math.inf
     except (OverflowError, ZeroDivisionError):
         return False
@@ -338,10 +329,6 @@ def _random_symbols(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     return str(x)
@@ -362,12 +349,6 @@ def _write_records(out_dir, fname, tc: int, cls, records) -> None:
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, fname), ["test_case", *names],
                [[tc, *(getattr(r, n) for n in names)] for r in records])
-
-
-def _ideal_channel(params: SystemParams) -> chmod.ChannelRealization:
-    ch = chmod.ChannelRealization(np.array([0.0]), np.array([1.0]))
-    ch.E_g = chmod.captured_energy(ch, params)
-    return ch
 
 
 def _waveform_packet(a, params: SystemParams, th, ch, N0, rng,
@@ -409,24 +390,19 @@ def run_testcase1(cfg: ExperimentConfig, out_dir=None) -> list[NoiseStats]:
         if cfg.channel_mode == "cm2":
             ch = chmod.generate_cm2(params, ch_rng)
         else:
-            ch = _ideal_channel(params)
-        E_g = chmod.effective_captured_energy(ch, params)
-        N0 = n0_for_snr(snr, E_g, 1.0, params)
-        model = acr.NoiseModel(params.N_f, E_g, N0, params.W, params.T_g)
-        N = cfg.n_symbols
+            ch = chmod.ChannelRealization([0.0], [1.0])
+        model = _noise_model(snr, chmod.effective_captured_energy(ch, params),
+                             1.0, params)
+        noiseless = replace(model, N0=0.0)
         chunks = []
         for pkt in range(cfg.n_packets):
             rng = _packet_rng(cfg.seed, cfg.test_case, p_idx, "noise",
                               M, "perfect", pkt)
             th = waveform.ThCode.random(params, rng)
-            a = _random_symbols(rng, N)
-            samples = _waveform_packet(a, params, th, ch, N0, rng, M)
-            C = acr._running_products(a)
-            i = np.arange(1, N + 1)[:, None]
-            m = np.arange(1, M + 1)[None, :]
-            signal = model.amplitude * C[i] * C[np.maximum(i - m, 0)]
-            resid = samples.values - signal
-            chunks.append(resid[~samples.pad_mask])
+            a = _random_symbols(rng, cfg.n_symbols)
+            samples = _waveform_packet(a, params, th, ch, model.N0, rng, M)
+            signal = acr.generate_discrete(a, M, noiseless, rng).values
+            chunks.append((samples.values - signal)[~samples.pad_mask])
         noise = np.concatenate(chunks)
         sigma_th = model.sigma_n_sq
         ks = _ks_statistic(noise, np.sqrt(sigma_th))
@@ -483,8 +459,7 @@ def run_testcase2(cfg: ExperimentConfig, out_dir=None) -> list[MsePoint]:
                 E_g = ch.E_g
             else:
                 E_g = 1.0
-            N0 = n0_for_snr(snr, E_g, 1.0, params)
-            model = acr.NoiseModel(params.N_f, E_g, N0, params.W, params.T_g)
+            model = _noise_model(snr, E_g, 1.0, params)
             a = _random_symbols(rng, cfg.n_symbols)
             samples = acr.generate_discrete(a, m_max, model, rng)
             for m in m_list:
@@ -565,8 +540,7 @@ def _uncoded_packet(cfg, params, n_use, point, pkt):
     p_idx, scheme, m, eg_mode, snr = point
     rng = _packet_rng(cfg.seed, cfg.test_case, p_idx, scheme, m, eg_mode, pkt)
     if cfg.path == "discrete":
-        N0 = n0_for_snr(snr, 1.0, 1.0, params)
-        model = acr.NoiseModel(params.N_f, 1.0, N0, params.W, params.T_g)
+        model = _noise_model(snr, 1.0, 1.0, params)
         a = _random_symbols(rng, n_use)
         if scheme == "bmsdd":
             samples = acr.generate_discrete_blocks(a, m, model, rng)
@@ -574,19 +548,18 @@ def _uncoded_packet(cfg, params, n_use, point, pkt):
             samples = acr.generate_discrete(a, m if scheme == "mmsdd" else 1,
                                             model, rng)
     else:
-        ch = (_ideal_channel(params) if cfg.channel_mode == "ideal"
+        ch = (chmod.ChannelRealization([0.0], [1.0])
+              if cfg.channel_mode == "ideal"
               else chmod.generate_cm2(params, rng))
-        E_g = chmod.effective_captured_energy(ch, params)
-        N0 = n0_for_snr(snr, E_g, 1.0, params)
-        model = acr.NoiseModel(params.N_f, E_g, N0, params.W, params.T_g)
+        model = _noise_model(snr, chmod.effective_captured_energy(ch, params),
+                             1.0, params)
         th = waveform.ThCode.random(params, rng)
         a = _random_symbols(rng, n_use)
-        samples = _waveform_packet(a, params, th, ch, N0, rng,
+        samples = _waveform_packet(a, params, th, ch, model.N0, rng,
                                    m if scheme != "dd" else 1,
                                    block=(scheme == "bmsdd"))
     if scheme == "mmsdd" and eg_mode == "estimated":
-        eh = acr.estimate_Eg(samples, params.N_f)
-        model = acr.NoiseModel(params.N_f, eh, N0, params.W, params.T_g)
+        model = replace(model, E_g=acr.estimate_Eg(samples, params.N_f))
     return a, (samples, model)
 
 
@@ -641,8 +614,7 @@ def _coded_packet(cfg, params, code, point, pkt):
     coded packet."""
     p_idx, scheme, m, eg_mode, snr = point
     rng = _packet_rng(cfg.seed, cfg.test_case, p_idx, scheme, m, eg_mode, pkt)
-    N0 = n0_for_snr(snr, 1.0, code.rate, params)
-    model = acr.NoiseModel(params.N_f, 1.0, N0, params.W, params.T_g)
+    model = _noise_model(snr, 1.0, code.rate, params)
     info = rng.integers(0, 2, code.k).astype(np.uint8)
     cw = ldpc.encode(code, info)
     imap = txchain.InterleaverMap.random(code.n, rng)
@@ -652,8 +624,7 @@ def _coded_packet(cfg, params, code, point, pkt):
     else:
         samples = acr.generate_discrete_blocks(a, m, model, rng)
     if eg_mode == "estimated":
-        eh = acr.estimate_Eg(samples, params.N_f)
-        model = acr.NoiseModel(params.N_f, eh, N0, params.W, params.T_g)
+        model = replace(model, E_g=acr.estimate_Eg(samples, params.N_f))
     return info, (samples, imap, model, cw)
 
 
@@ -664,7 +635,6 @@ def _decode_round(cfg, code, packets, trace=False):
     return jointmod.run_joint(samples, code, imaps, models,
                               outer_iters=cfg.outer_iters,
                               inner_iters=cfg.inner_iters,
-                              early_exit=not trace,
                               true_coded_bits=cws if trace else None)
 
 

@@ -57,16 +57,16 @@ def _detector_extrinsics(samples, priors, models):
 
 def run_joint(samples, code: ldpc.LdpcCode, imaps, models,
               outer_iters: int = 10, inner_iters: int = 10,
-              early_exit: bool = True, true_coded_bits=None) -> JointResult:
+              true_coded_bits=None) -> JointResult:
     """Run the serial schedule on a round of packets and decode each.
 
     samples, imaps and models hold one entry per packet.  The samples pick
     the detector: CorrSamples run the sliding-window detector, one sweep
     per outer iteration for every packet still running, BlockCorrSamples
-    the block detector.  With early_exit a packet leaves the round once
-    its checks are satisfied.  true_coded_bits (one codeword-order 0/1
-    array per packet) is a simulator-side oracle used only to fill the
-    traces; it never influences any message.
+    the block detector.  A packet leaves the round once its checks are
+    satisfied, unless true_coded_bits (one codeword-order 0/1 array per
+    packet) is given: then every packet runs every outer iteration, scored
+    in its trace against that oracle, which never influences any message.
     """
     if outer_iters < 1:
         raise ValueError("outer_iters must be >= 1")
@@ -108,7 +108,7 @@ def run_joint(samples, code: ldpc.LdpcCode, imaps, models,
             trace[j].append(IterationTrace(
                 iteration=t, p_c_msdd=p_det, p_c_dec=p_dec,
                 checks_satisfied=n_checks - res[j].n_unsatisfied))
-        if early_exit:
+        if true_coded_bits is None:
             live = [j for j in live if not res[j].checks_satisfied]
 
     hard = np.stack([r.hard_bits for r in res])

@@ -88,7 +88,6 @@ class LdpcCode:
 @dataclass
 class DecodeResult:
     hard_bits: np.ndarray       # (N,) uint8 decisions from posterior LLRs
-    posterior_llr: np.ndarray   # (N,) channel + extrinsic
     extrinsic_llr: np.ndarray   # (N,) check-to-variable sums only
     n_iterations: int
     checks_satisfied: bool
@@ -224,10 +223,6 @@ def extract_info(code: LdpcCode, codeword_bits: np.ndarray) -> np.ndarray:
     return np.asarray(codeword_bits)[..., code.info_positions]
 
 
-def check(code: LdpcCode, codeword_bits: np.ndarray) -> bool:
-    return syndrome_weight(code, codeword_bits) == 0
-
-
 def syndrome_weight(code: LdpcCode, hard_bits: np.ndarray) -> int:
     """Number of unsatisfied checks: XOR each check's row_w edge bits."""
     bits = np.asarray(hard_bits, dtype=np.int64) & 1
@@ -249,6 +244,8 @@ def decode(code: LdpcCode, channel_llr: np.ndarray,
     llr = np.clip(np.asarray(channel_llr, dtype=float), -_MSG_CLIP * 20, _MSG_CLIP * 20)
     if llr.shape != (code.n,):
         raise ValueError(f"expected {code.n} channel LLRs")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     to_check, to_var = code._edges["to_check"], code._edges["to_var"]
     c2v = np.zeros(to_var.shape)
     # leave-one-out products: pre[r] = t[0]...t[r-1], suf[r] = t[r+1]...
@@ -257,8 +254,7 @@ def decode(code: LdpcCode, channel_llr: np.ndarray,
     pre[0] = suf[-1] = 1.0
     extr = np.zeros(code.n)
     post = llr + extr
-    n_run = 0
-    for it in range(max_iter):
+    for n_run in range(1, max_iter + 1):
         # variable update: leave-one-out sums of incoming check messages
         v2c = post - c2v
         # check update: leave-one-out tanh products per check
@@ -279,11 +275,9 @@ def decode(code: LdpcCode, channel_llr: np.ndarray,
         for row in c2v[1:]:
             np.add(extr, row, out=extr)
         np.add(llr, extr, out=post)
-        n_run = it + 1
-        if syndrome_weight(code, post < 0) == 0:
+        n_bad = syndrome_weight(code, post < 0)
+        if n_bad == 0:
             break
-    hard = (post < 0).astype(np.uint8)
-    n_bad = syndrome_weight(code, hard)
-    return DecodeResult(hard_bits=hard, posterior_llr=post, extrinsic_llr=extr,
-                        n_iterations=n_run, checks_satisfied=(n_bad == 0),
-                        n_unsatisfied=n_bad)
+    return DecodeResult(hard_bits=(post < 0).astype(np.uint8),
+                        extrinsic_llr=extr, n_iterations=n_run,
+                        checks_satisfied=(n_bad == 0), n_unsatisfied=n_bad)

@@ -47,7 +47,7 @@ def log_evidence_matrix(samples: CorrSamples, amplitude: float,
     const = np.sum(kY * Y, axis=1) + amplitude ** 2 * keep.sum(axis=1)
     cross = kY @ _state_signs(samples.window).T
     se = const[:, None] - 2.0 * amplitude * cross
-    return -se / sigma_sq
+    return _finite_evidence(-se / sigma_sq)
 
 
 def _check_inputs(values: np.ndarray, amplitude: float,
@@ -58,6 +58,13 @@ def _check_inputs(values: np.ndarray, amplitude: float,
         raise ValueError("amplitude must be finite")
     if not (math.isfinite(sigma_sq) and sigma_sq > 0):
         raise ValueError("sigma_sq must be finite and positive")
+
+
+def _finite_evidence(log_ev: np.ndarray) -> np.ndarray:
+    """log_ev; finite statistics can overflow it, and -inf rows give NaN."""
+    if not np.isfinite(log_ev).all():
+        raise ValueError("log evidence overflows: statistics out of range")
+    return log_ev
 
 
 @functools.lru_cache(maxsize=64)
@@ -345,7 +352,7 @@ def _block_loglik(blocks: BlockCorrSamples, amplitude: float,
     _, signs3, valid = _block_tables(M)
     resid = blocks.values[:, None, :, :] - amplitude * signs3[None, :, :, :]
     se = np.einsum("uhrc,rc->uh", resid ** 2, valid.astype(float))
-    return -se / sigma_sq
+    return _finite_evidence(-se / sigma_sq)
 
 
 def bmsdd_extrinsic(blocks: BlockCorrSamples, priors, amplitude: float,

@@ -339,10 +339,56 @@ def test_removed_config_keys_are_refused(key, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_config_keys_mirror_config_fields():
-    keys = (harness._FLOAT_LIST_KEYS | harness._INT_LIST_KEYS
-            | harness._STR_LIST_KEYS | harness._INT_KEYS | harness._STR_KEYS)
-    assert keys == {f.name for f in fields(ExperimentConfig)}
+def test_config_fields_parse_by_type_and_flags_name_fields():
+    # ExperimentConfig is the only schema: each key parses by its field's
+    # type, and each CLI flag sets the field its dest names
+    raw = {"test_case": "3", "snr_db": "8.5, 9", "m_list": "2,3",
+           "n_symbols": "300", "k_info": "400", "n_coded": "800",
+           "target_errors": "7", "max_bits": "9000", "n_packets": "4",
+           "seed": "5", "path": "discrete", "channel_mode": "cm2",
+           "eg_modes": "perfect, estimated", "schemes": "dd,mmsdd",
+           "outer_iters": "3", "inner_iters": "4", "trace_snr_db": "13",
+           "trace_schemes": "joint-bmsdd", "trace_packets": "6",
+           "out_dir": "results"}
+    want = dict(test_case=3, snr_db=(8.5, 9.0), m_list=(2, 3), n_symbols=300,
+                k_info=400, n_coded=800, target_errors=7, max_bits=9000,
+                n_packets=4, seed=5, path="discrete", channel_mode="cm2",
+                eg_modes=("perfect", "estimated"), schemes=("dd", "mmsdd"),
+                outer_iters=3, inner_iters=4, trace_snr_db=(13.0,),
+                trace_schemes=("joint-bmsdd",), trace_packets=6,
+                out_dir="results")
+    names = {f.name for f in fields(ExperimentConfig)}
+    assert set(raw) == set(want) == names
+    cfg = apply_overrides(default_config(1), raw)
+    for name, value in want.items():
+        got = getattr(cfg, name)
+        assert got == value and type(got) is type(value), name
+        if isinstance(value, tuple):
+            assert [type(v) for v in got] == [type(v) for v in value], name
+    # one rule for every list field: blank entries are dropped
+    blanks = {"snr_db": "8.5, ,9,", "m_list": ",2,,3", "trace_snr_db": " 13 ,",
+              "eg_modes": "perfect, ,estimated", "schemes": "dd,,mmsdd,",
+              "trace_schemes": ", joint-bmsdd"}
+    assert apply_overrides(cfg, blanks) == cfg
+    assert apply_overrides(cfg, {"trace_snr_db": ""}).trace_snr_db == ()
+    # every default value round-trips through its string form
+    for tc in (1, 2, 3, 4):
+        base = default_config(tc)
+        text = {f.name: (",".join(map(str, v)) if isinstance(v, tuple)
+                         else str(v))
+                for f in fields(base)
+                if (v := getattr(base, f.name)) is not None}
+        assert apply_overrides(ExperimentConfig(test_case=tc), text) == base
+    # every flag but --config and --out names a field, and sets it
+    args = cli.build_parser().parse_args(
+        ["tc3", "--snr-db", "8,9", "--m", "2", "--packets", "3", "--seed",
+         "4", "--path", "discrete", "--eg", "estimated"])
+    assert set(vars(args)) - {"command", "config", "out"} <= names
+    cfg = cli._build_config(3, args)
+    assert (cfg.snr_db, cfg.m_list, cfg.n_packets, cfg.seed, cfg.path,
+            cfg.eg_modes) == ((8.0, 9.0), (2,), 3, 4, "discrete",
+                              ("estimated",))
+    assert cfg.max_bits == 3 * cfg.n_symbols
 
 
 def test_out_dir_precedence(monkeypatch):
@@ -629,7 +675,7 @@ def _sequential_tc4(cfg):
             _, (samples, imap, model, cw) = harness._coded_packet(
                 cfg, params, code, point, pkt)
             out = run([samples], imaps=[imap], models=[model],
-                      early_exit=False, true_coded_bits=[cw])
+                      true_coded_bits=[cw])
             made += 1
             for rec in out.trace[0]:
                 acc[rec.iteration - 1, 0] += rec.p_c_msdd

@@ -559,6 +559,25 @@ def test_nonfinite_samples_rejected(case, bad):
                                  model.sigma_n_sq)
 
 
+@pytest.mark.parametrize("detector", ["mmsdd", "bmsdd"])
+@pytest.mark.parametrize("amplitude, sigma_sq", [(1e160, 1.0),
+                                                 (1.0, 1e-320)])
+def test_overflowing_evidence_rejected(detector, amplitude, sigma_sq):
+    # finite statistics whose log evidence overflows to -inf in every
+    # state made all 24 beliefs of this M=2, 12-symbol packet NaN
+    rng = np.random.default_rng(21)
+    model = acr.NoiseModel(P.N_f, 1.0, 0.1, P.W, P.T_g)
+    a = 1 - 2 * rng.integers(0, 2, 12)
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="log evidence overflows"):
+        if detector == "mmsdd":
+            msdd.msdd_app([acr.generate_discrete(a, 2, model, rng)], 2,
+                          amplitude, sigma_sq)
+        else:
+            msdd.bmsdd_extrinsic(acr.generate_discrete_blocks(a, 2, model, rng),
+                                 None, amplitude, sigma_sq)
+
+
 # ---------------------------------------------------------------------------
 # hard decisions
 

@@ -9,9 +9,9 @@ windows against each other and carries a fixed 1/N_f receiver gain:
     Y_{i,m} = (1/N_f) * int_0^Tg y(t + i*T_s) * y(t + (i-m)*T_s) dt
 
 With that gain the noiseless sample equals prod(a_{i-m+1}..a_i) * N_f * E_g
-and the additive noise variance is noise_variance() below; the gain is what
-makes the closed-form variance hold at the waveform level (verified by the
-moment-matching test case).
+and the additive noise variance is NoiseModel.sigma_n_sq below; the gain is
+what makes the closed-form variance hold at the waveform level (verified by
+the moment-matching test case).
 
 Overlapping sampling takes m = 1..M for every symbol i = 1..N and zero-pads
 the M(M-1)/2 entries with i < m, which reference windows before the packet.
@@ -28,22 +28,6 @@ import numpy as np
 from .waveform import ThCode
 
 
-def signal_amplitude(N_f: int, E_g: float) -> float:
-    """Noiseless magnitude of a correlation sample."""
-    return N_f * E_g
-
-
-def noise_variance(N_f: int, E_g: float, N0: float, W: float, T_g: float) -> float:
-    """Variance of the additive noise on a correlation sample.
-
-    First term: signal-times-noise beat; second: noise-times-noise over the
-    WT_g degrees of freedom of the capture window.
-    """
-    if N_f < 1 or E_g < 0 or N0 < 0 or W <= 0 or T_g <= 0:
-        raise ValueError("bad noise model parameters")
-    return N_f * N0 * E_g + W * T_g * N0 ** 2 / 2.0
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """Bundle of the quantities fixing the sample statistics."""
@@ -56,11 +40,20 @@ class NoiseModel:
 
     @property
     def amplitude(self) -> float:
-        return signal_amplitude(self.N_f, self.E_g)
+        """Noiseless magnitude of a correlation sample."""
+        return self.N_f * self.E_g
 
     @property
     def sigma_n_sq(self) -> float:
-        return noise_variance(self.N_f, self.E_g, self.N0, self.W, self.T_g)
+        """Variance of the additive noise on a correlation sample.
+
+        First term: signal-times-noise beat; second: noise-times-noise over
+        the WT_g degrees of freedom of the capture window.
+        """
+        N_f, E_g, N0, W, T_g = self.N_f, self.E_g, self.N0, self.W, self.T_g
+        if N_f < 1 or E_g < 0 or N0 < 0 or W <= 0 or T_g <= 0:
+            raise ValueError("bad noise model parameters")
+        return N_f * N0 * E_g + W * T_g * N0 ** 2 / 2.0
 
 
 @dataclass

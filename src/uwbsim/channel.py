@@ -27,11 +27,10 @@ _MAX_REDRAWS = 100
 
 @dataclass
 class ChannelRealization:
-    """Truncated tap list (delays in seconds, real gains) plus captured energy."""
+    """Truncated tap list (delays in seconds, real gains)."""
 
     delays: np.ndarray
     gains: np.ndarray
-    E_g: float = float("nan")
 
     def __post_init__(self):
         self.delays = np.asarray(self.delays, dtype=float)
@@ -75,9 +74,7 @@ def generate_cm2(params, rng: np.random.Generator) -> ChannelRealization:
         if not np.any(keep):
             continue
         order = np.argsort(delays[keep])
-        ch = ChannelRealization(delays[keep][order], gains[keep][order])
-        ch.E_g = captured_energy(ch, params)
-        return ch
+        return ChannelRealization(delays[keep][order], gains[keep][order])
     raise RuntimeError("channel generation kept producing degenerate draws")
 
 

@@ -297,6 +297,12 @@ def _noise_model(snr_db: float, E_g: float, rate: float,
     return acr.NoiseModel(params.N_f, E_g, N0, params.W, params.T_g)
 
 
+def _validate(cfg: ExperimentConfig, case: int) -> None:
+    if cfg.test_case != case:
+        raise ConfigError(f"tc{case} cannot run a test case {cfg.test_case} config")
+    cfg.validate()
+
+
 def _noise_model_is_finite(snr_db: float, rate: float) -> bool:
     """Whether sigma_n^4 at unit E_g is finite and positive.  The largest
     power of the noise a runner forms is the fourth: tc2's confidence
@@ -379,7 +385,7 @@ def run_testcase1(cfg: ExperimentConfig, out_dir=None) -> list[NoiseStats]:
     theoretical variance is a single number); TH codes, data, and noise are
     redrawn per packet.  Noise samples are Y minus the known signal part.
     """
-    cfg.validate()
+    _validate(cfg, 1)
     params = SystemParams()
     M = int(cfg.m_list[0])
     results = []
@@ -444,7 +450,7 @@ def run_testcase2(cfg: ExperimentConfig, out_dir=None) -> list[MsePoint]:
     receiver takes).  This pairs the comparison across M, so the common
     low-SNR magnitude bias cancels when curves are compared.
     """
-    cfg.validate()
+    _validate(cfg, 2)
     params = SystemParams()
     m_list = [int(m) for m in cfg.m_list]
     m_max = max(m_list)
@@ -456,7 +462,7 @@ def run_testcase2(cfg: ExperimentConfig, out_dir=None) -> list[MsePoint]:
                               0, "perfect", pkt)
             if cfg.channel_mode == "cm2":
                 ch = chmod.generate_cm2(params, rng)
-                E_g = ch.E_g
+                E_g = chmod.captured_energy(ch, params)
             else:
                 E_g = 1.0
             model = _noise_model(snr, E_g, 1.0, params)
@@ -597,7 +603,7 @@ def _tc3_combos(cfg) -> list:
 
 def run_testcase3(cfg: ExperimentConfig, out_dir=None) -> list[BerPoint]:
     """Uncoded BER of DD, hard block detection, and sliding-window MSDD."""
-    cfg.validate()
+    _validate(cfg, 3)
     points = _grouped_points(cfg, _tc3_combos(cfg),
                              partial(_uncoded_points, cfg, SystemParams()))
     if out_dir is not None:
@@ -678,7 +684,7 @@ def run_testcase4(cfg: ExperimentConfig, out_dir=None):
 
     Returns (ber_points, trace_points).
     """
-    cfg.validate()
+    _validate(cfg, 4)
     params = SystemParams()
     code = ldpc.default_code(cfg.k_info, cfg.n_coded)
     combos = [(scheme, int(m), eg) for scheme in cfg.schemes

@@ -5,11 +5,11 @@ so a positive LLR favors bit 0.  Hard decisions break ties toward bit 0.
 
 The parity-check matrix is (3,6)-regular, built column by column with a
 seeded generator while refusing row pairs that would close a length-4 cycle.
-Each column's rows are drawn by the capacity left, with the very draws and
-arithmetic of ``Generator.choice(replace=False, p=...)``, so H is unchanged.
-Construction restarts (bounded) until the matrix is also full rank, which
-makes the realized rate equal the design rate K/N and gives a systematic
-encoder on the non-pivot columns of the GF(2) reduced form.
+Each column's rows are drawn by ``Generator.choice(replace=False, p=...)``
+in proportion to the capacity each row has left.  Construction restarts
+(bounded) until the matrix is also full rank, which makes the realized rate
+equal the design rate K/N and gives a systematic encoder on the non-pivot
+columns of the GF(2) reduced form.
 
 The seed-1 (800, 1600) code every coded campaign uses ships beside this
 module as ``default_code.npz`` (H's column rows, the pivot columns and the
@@ -41,7 +41,6 @@ class LdpcCode:
     # (N-K, ceil(K/8)) uint8: the rows of B (parity = B @ info mod 2)
     # packed by np.packbits, so encode's parity is a popcount per row
     B_packed: np.ndarray
-    seed: int
     # edge tables for the flooding decoder, derived in __post_init__
     _edges: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -116,18 +115,6 @@ def _gf2_rref(A: np.ndarray):
     return rref, np.asarray(pivots, dtype=np.int64)
 
 
-def _choose_rows(p: np.ndarray, rng) -> list:
-    """``rng.choice(len(p), _COL_W, replace=False, p=p)``, inlined."""
-    p, found = p.copy(), {}
-    while len(found) < _COL_W:
-        x = rng.random(_COL_W - len(found))
-        p[list(found)] = 0.0
-        cdf = p.cumsum()
-        cdf /= cdf[-1]
-        found.update(dict.fromkeys(cdf.searchsorted(x, "right").tolist()))
-    return list(found)
-
-
 def _try_build_H(n: int, n_rows: int, rng):
     """One attempt at a regular 4-cycle-free matrix; None on dead end."""
     cap = np.full(n_rows, float(_ROW_W))
@@ -136,10 +123,12 @@ def _try_build_H(n: int, n_rows: int, rng):
     for j in range(n):
         if np.count_nonzero(cap) < _COL_W:
             return None
-        # weights are the capacities left; their sum is exact, as in numpy
+        # over all rows, full ones at weight 0: as the sum is exact and a zero
+        # weight is never picked, this draws what a choice over open rows does
         p = cap / (_ROW_W * n_rows - _COL_W * j)
         for _ in range(400):
-            a, b, c = pick = sorted(_choose_rows(p, rng))
+            a, b, c = pick = sorted(rng.choice(n_rows, _COL_W, replace=False,
+                                               p=p))
             if not (linked[a, b] or linked[a, c] or linked[b, c]):
                 break
         else:
@@ -175,8 +164,7 @@ def construct_regular(k: int = 800, n: int = 1600, seed: int = 1) -> LdpcCode:
             continue
         free = np.delete(np.arange(n), pivots)
         return LdpcCode(H=H, info_positions=free, parity_positions=pivots,
-                        B_packed=np.packbits(rref[:, free], axis=1),
-                        seed=seed)
+                        B_packed=np.packbits(rref[:, free], axis=1))
     raise RuntimeError("could not construct a full-rank 4-cycle-free code")
 
 
@@ -192,7 +180,7 @@ def _load_code(path: str) -> LdpcCode:
     pivots = pivots.astype(np.int64)
     return LdpcCode(H=_H_from_columns(col_rows, len(pivots)),
                     info_positions=np.delete(np.arange(n), pivots),
-                    parity_positions=pivots, B_packed=B_packed, seed=1)
+                    parity_positions=pivots, B_packed=B_packed)
 
 
 def default_code(k: int = 800, n: int = 1600) -> LdpcCode:

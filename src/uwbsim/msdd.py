@@ -370,10 +370,7 @@ def bmsdd_extrinsic(blocks: BlockCorrSamples, priors, amplitude: float,
     for t in range(M):
         term = ll + lp_h - logp[:, t, :][:, bits[:, t]]
         for b in (0, 1):
-            cols = bits[:, t] == b
-            sub = term[:, cols]
-            mx = sub.max(axis=1)
-            lg[:, t, b] = mx + np.log(np.sum(np.exp(sub - mx[:, None]), axis=1))
+            lg[:, t, b] = _row_logsumexp(term[:, bits[:, t] == b])
     return beliefs.from_log(lg.reshape(N, 2))
 
 

@@ -1,21 +1,13 @@
-"""LDPC construction steps as they were written before they were inlined for
-speed, kept as references: the column-by-column draw through
-``Generator.choice`` with a set of row pairs, and the GF(2) reduction on
-unpacked rows with explicit row swaps.  ``ldpc._try_build_H`` must return the
-same matrix (or the same dead end) and leave the generator in the same state;
+"""LDPC construction steps as they were first written, kept as references:
+the column-by-column draw through ``Generator.choice`` over the open rows
+with a set of row pairs, and the GF(2) reduction on unpacked rows with
+explicit row swaps.  ``ldpc._try_build_H`` must return the same matrix (or
+the same dead end) and leave the generator in the same state;
 ``ldpc._gf2_rref`` must return the same reduced form and pivots."""
 
 import numpy as np
 
 _COL_W, _ROW_W = 3, 6
-
-
-def choose_rows(cap: np.ndarray, rng) -> np.ndarray:
-    """The draw inside try_build_H: three distinct rows with capacity left,
-    in proportion to it."""
-    avail = np.nonzero(cap)[0]
-    w = cap[avail].astype(float)
-    return rng.choice(avail, size=_COL_W, replace=False, p=w / w.sum())
 
 
 def try_build_H(n: int, n_rows: int, rng):

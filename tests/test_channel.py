@@ -33,13 +33,6 @@ def test_unit_energy_before_truncation():
         assert float(np.sum(ch.gains ** 2)) <= 1.0 + 1e-12
 
 
-def test_captured_energy_matches_stored_value():
-    for seed in range(5):
-        ch = chmod.generate_cm2(P, np.random.default_rng(seed))
-        assert ch.E_g == pytest.approx(chmod.captured_energy(ch, P), rel=1e-6)
-        assert ch.E_g > 0.0
-
-
 def _rms_delay_spread(channel):
     """Energy-weighted RMS spread of the tap delays."""
     p = channel.gains ** 2
@@ -78,7 +71,7 @@ def test_window_can_only_lose_energy():
         ch = chmod.generate_cm2(P, np.random.default_rng(seed))
         g = chmod.received_pulse(ch, P)
         total = float(np.sum(g ** 2) / P.f_sim)
-        assert chmod.captured_energy(ch, P) <= total + 1e-9
+        assert 0.0 < chmod.captured_energy(ch, P) <= total + 1e-9
 
 
 def test_effective_energy_uses_filtered_pulse():

@@ -262,6 +262,33 @@ def test_block_window_longer_than_packet_is_a_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,config", [
+    # tc4 decoded these mmsdd points with the block detector, labelled 3
+    ("tc4", "test_case = 3\nschemes = mmsdd\n"),
+    # tc3 ran no point of the joint scheme and wrote a header-only CSV
+    ("tc3", "test_case = 4\nschemes = joint-mmsdd\n"),
+], ids=["tc4-given-tc3", "tc3-given-tc4"])
+def test_cli_refuses_a_config_for_the_other_campaign(command, config,
+                                                     tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(config + "snr_db = 12\nm_list = 2\nmax_bits = 1600\n")
+    out = tmp_path / "out"
+    with _deadline(60):
+        assert cli.main([command, "--config", str(path),
+                         "--out", str(out)]) == 2
+    assert "cannot run a test case" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case,other", [(1, 2), (2, 1), (3, 4), (4, 3)])
+def test_runner_refuses_a_config_for_another_test_case(case, other, tmp_path):
+    run = getattr(harness, f"run_testcase{case}")
+    with _deadline(60):
+        with pytest.raises(ConfigError, match=f"tc{case} cannot run"):
+            run(default_config(other), str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("patch", [
     dict(k_info=100, n_coded=150),   # not a (3,6) degree profile
     dict(k_info=6, n_coded=12),      # profile fits, no 4-cycle-free code

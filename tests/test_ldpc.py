@@ -81,7 +81,7 @@ def test_irregular_H_is_refused_at_construction(small, axis):
     with pytest.raises(ValueError, match="regular"):
         ldpc.LdpcCode(H=H, info_positions=small.info_positions,
                       parity_positions=small.parity_positions,
-                      B_packed=small.B_packed, seed=small.seed)
+                      B_packed=small.B_packed)
 
 
 def test_construction_is_seed_deterministic():
@@ -90,31 +90,6 @@ def test_construction_is_seed_deterministic():
     c = ldpc.construct_regular(k=24, n=48, seed=10)
     assert np.array_equal(a.H, b.H)
     assert not np.array_equal(a.H, c.H)
-
-
-@st.composite
-def _capacities(draw):
-    """Row capacities mid-build: 1-6 left, or 0 for full rows, >= 3 open."""
-    n = draw(st.integers(3, 800))
-    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    cap = gen.integers(1, ldpc._ROW_W + 1, n)
-    n_full = draw(st.one_of(st.just(n - 3), st.integers(0, n - 3)))
-    cap[gen.permutation(n)[:n_full]] = 0
-    return cap
-
-
-@settings(max_examples=300, deadline=None)
-@given(cap=_capacities(), seed=st.integers(0, 2**32 - 1),
-       skip=st.integers(0, 3))
-def test_inline_draw_matches_generator_choice(cap, seed, skip):
-    # Generator.choice over the open rows, as the construction called it
-    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    for g in (ref_rng, rng):
-        g.random(skip)
-    want = ldpc_reference.choose_rows(cap, ref_rng)
-    got = ldpc._choose_rows(cap / cap.sum(), rng)
-    assert got == want.tolist()
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("k,n,seed", [(24, 48, 3), (24, 48, 9), (30, 60, 3),

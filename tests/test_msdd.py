@@ -374,13 +374,16 @@ def test_app_matches_bruteforce_single_instance():
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 5),
+@example(seed=31, m=7, extra=5, b=3, noise=0.05, saturate=True, uniform=False)
+@example(seed=32, m=6, extra=6, b=2, noise=5.0, saturate=False, uniform=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 7),
        extra=st.integers(0, 11), b=st.integers(1, 3),
        noise=st.sampled_from([1e-9, 1e-4, 0.05, 0.5, 5.0]),
        saturate=st.booleans(), uniform=st.booleans())
 def test_app_matches_bruteforce_across_range(seed, m, extra, b, noise,
                                              saturate, uniform):
-    # N up to 12, per-packet amplitude and sigma^2, N0 from 5e-10 to 10
+    # M up to 7 (the numpy sweep and the block merge at 128 states), N up
+    # to 12, per-packet amplitude and sigma^2, N0 from 5e-10 to 10
     # (SNR = N_f E_g / N0 down to about -5 dB), priors at 1e-300 and
     # 1 - 1e-16
     n = min(m + extra, 12)

@@ -19,15 +19,18 @@ def _noiseless_received(a, th):
     return np.concatenate([sig, tail])
 
 
+def test_noise_variance_formula_value():
+    # 10*0.1*1 + 2e9*1e-7*0.01/2 = 1 + 1
+    assert acr.NoiseModel(10, 1.0, 0.1, 2e9, 1e-7).sigma_n_sq == \
+        pytest.approx(2.0)
+    assert acr.NoiseModel(10, 1.0, 0.0, 2e9, 1e-7).sigma_n_sq == 0.0
+
+
 def test_noise_model_carries_formula_value():
     model = acr.NoiseModel(P.N_f, 0.8, 0.05, P.W, P.T_g)
     want = P.N_f * 0.05 * 0.8 + P.W * P.T_g * 0.05 ** 2 / 2.0
     assert model.sigma_n_sq == pytest.approx(want, rel=1e-12)
     assert model.amplitude == pytest.approx(P.N_f * 0.8)
-    # 10*0.1*1 + 2e9*1e-7*0.01/2 = 1 + 1
-    assert acr.NoiseModel(10, 1.0, 0.1, 2e9, 1e-7).sigma_n_sq == \
-        pytest.approx(2.0)
-    assert acr.NoiseModel(10, 1.0, 0.0, 2e9, 1e-7).sigma_n_sq == 0.0
 
 
 @pytest.mark.parametrize("bad", [dict(N_f=0), dict(E_g=-1.0), dict(N0=-0.1),

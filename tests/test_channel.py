@@ -33,6 +33,19 @@ def test_unit_energy_before_truncation():
         assert float(np.sum(ch.gains ** 2)) <= 1.0 + 1e-12
 
 
+def test_captured_energy_matches_stored_value():
+    # the tap list convolved with the stored monocycle samples, cut at T_g
+    p = waveform.monocycle(P)
+    n_g = P.to_samples(P.T_g)
+    for seed in range(5):
+        ch = chmod.generate_cm2(P, np.random.default_rng(seed))
+        taps = np.zeros(n_g + 1)
+        np.add.at(taps, np.round(ch.delays * P.f_sim).astype(int), ch.gains)
+        want = float(np.sum(np.convolve(taps, p)[:n_g] ** 2) * P.dt)
+        assert chmod.captured_energy(ch, P) == pytest.approx(want, rel=1e-6)
+        assert chmod.captured_energy(ch, P) > 0.0
+
+
 def _rms_delay_spread(channel):
     """Energy-weighted RMS spread of the tap delays."""
     p = channel.gains ** 2

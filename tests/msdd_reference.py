@@ -2,8 +2,8 @@
 
 Brute-force oracles for its building blocks, one step's evidence factor and
 the forward filtering distributions, written the slow, obvious way like the
-oracles in `uwbsim.reference`; and a frozen copy of the detector's merge
-path that pins its exact output bits."""
+oracles in `uwbsim.reference`; and frozen copies of the detector's merge
+path and of `beliefs.from_log` that pin their exact output bits."""
 
 import itertools
 
@@ -125,6 +125,15 @@ def msdd_app(samples, M: int, amplitude, sigma_sq,
         raise ValueError("need one prior belief per packet")
     logp = np.stack([msdd._log_priors(p, N) for p in priors], axis=1)
     lg = merge_log(*msdd._sweep(logE, logp), logE)
-    gamma = beliefs.from_log(lg)
-    app = beliefs.from_log(np.add(lg, logp, out=lg))
+    gamma = from_log(lg)
+    app = from_log(np.add(lg, logp, out=lg))
     return app.transpose(1, 0, 2), gamma.transpose(1, 0, 2)
+
+
+def from_log(logp: np.ndarray) -> np.ndarray:
+    """beliefs.from_log as a reduction over the last axis."""
+    logp = np.asarray(logp, dtype=float)
+    shifted = logp - logp.max(axis=-1, keepdims=True)
+    shifted = np.maximum(shifted, -beliefs.LLR_CLIP)
+    p = np.exp(shifted)
+    return p / p.sum(axis=-1, keepdims=True)

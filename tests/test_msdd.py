@@ -302,6 +302,29 @@ def test_m2_merge_matches_frozen_merge(b):
             assert np.isneginf(lg).any()
 
 
+@pytest.mark.parametrize("shape", [(37, 2), (420, 3, 2), (1600, 2, 2)])
+def test_from_log_matches_frozen_reduction(shape):
+    # log weights over hundreds of nats, with -inf entries, rows of two
+    # -inf (NaN out), gaps at and beyond LLR_CLIP, signed zeros and ties,
+    # as a contiguous array and as a strided view
+    inf = np.inf
+    edges = np.array([[-inf, 0.0], [3.0, -inf], [-inf, -inf], [0.0, -600.0],
+                      [-600.0 - 1e-9, 0.0], [-1e3, 5.0], [7.0, -1e300],
+                      [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [2.5, 2.5],
+                      [-inf, -1e308]])
+    rng = np.random.default_rng(shape[0])
+    x = rng.normal(0.0, 400.0, shape)
+    flat = x.reshape(-1, 2)
+    flat[rng.choice(len(flat), len(edges), replace=False)] = edges
+    for logp in (x, x.swapaxes(0, -2)[::-1]):
+        with np.errstate(invalid="ignore"):
+            got = beliefs.from_log(logp)
+            want = frozen.from_log(logp)
+        assert got.shape == want.shape == logp.shape
+        assert got.tobytes() == want.tobytes()
+        assert np.isnan(got).sum() == 2
+
+
 def test_m2_sweep_takes_scalar_loop_up_to_threshold():
     # the scalar loop makes no numpy ufunc call; the numpy loop does
     rng = np.random.default_rng(18)

@@ -26,12 +26,12 @@ def normalize(b: np.ndarray) -> np.ndarray:
 
 
 def from_log(logp: np.ndarray) -> np.ndarray:
-    """Normalize unnormalized log weights (..., 2) into strictly positive beliefs."""
+    """Normalize unnormalized log weights (..., 2) into strictly positive
+    beliefs, on columns: the bits of a max and a sum over each pair."""
     logp = np.asarray(logp, dtype=float)
-    shifted = logp - logp.max(axis=-1, keepdims=True)
-    shifted = np.maximum(shifted, -LLR_CLIP)
-    p = np.exp(shifted)
-    return p / p.sum(axis=-1, keepdims=True)
+    out = np.subtract(logp, np.maximum(logp[..., 0], logp[..., 1])[..., None])
+    np.exp(np.maximum(out, -LLR_CLIP, out=out), out=out)
+    return np.divide(out, (out[..., 0] + out[..., 1])[..., None], out=out)
 
 
 def to_llr(b: np.ndarray) -> np.ndarray:

@@ -50,7 +50,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _build_config(tc: int, args) -> harness.ExperimentConfig:
     cfg = harness.default_config(tc)
     if args.config:
-        cfg = harness.apply_overrides(cfg, harness.load_config_file(args.config))
+        given = harness.load_config_file(args.config)
+        case = given.get("test_case", str(tc))
+        # named before validate(), which would apply the other case's rules
+        if case.isdigit() and int(case) != tc:
+            raise harness.ConfigError(
+                f"tc{tc} cannot run a test case {case} config")
+        cfg = harness.apply_overrides(cfg, given)
     keys = {f.name for f in fields(harness.ExperimentConfig)}
     overrides = {k: v for k, v in vars(args).items() if k in keys}
     # for stopping-rule sweeps the packet budget caps total bits

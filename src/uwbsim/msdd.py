@@ -96,33 +96,37 @@ BATCH_ELEMENTS = 1 << 19
 MERGE_ELEMENTS = 1 << 15
 # M=2 stacks of at most this many packets sweep on Python floats: the
 # largest B at which that loop beats the numpy loop at N = 420 and 1600
-SCALAR_PACKETS = 6
-
-_LN2 = math.log(2.0)
+SCALAR_PACKETS = 8
 
 
 def _sweep_m2(E: np.ndarray, P: np.ndarray, out: np.ndarray) -> None:
     """The numpy loop's float operations, in its order, for one M=2 packet.
 
-    E is the packet's (N, 4) evidence and P its (N, 2) log priors; out is
-    its (N, 2, 4) view of R[1:], written once at the end.  Each logaddexp
-    is inlined in npy_logaddexp's branch order: x == y gives x + ln 2, then
-    the d = x - y > 0 branch, tested as x > y (the same for unequal
-    floats), then d <= 0.
+    E is the packet's (N, 4) evidence and P its (N, 2) log priors, read as
+    column lists; out is its (N, 2, 4) view of R[1:], filled at the end
+    from one flat history.  Each logaddexp is inlined in npy_logaddexp's
+    branch order: x == y gives x + ln 2, then the d = x - y > 0 branch,
+    tested as x > y (the same for unequal floats), then d <= 0.
     """
-    exp, log1p, ln2 = math.exp, math.log1p, _LN2
+    exp, log1p, ln2 = math.exp, math.log1p, math.log(2.0)
     a0, a1, a2, a3, b0, b1 = 0.0, -math.inf, -math.inf, -math.inf, 0.0, 0.0
-    fwd, bwd = [], []
-    fa, ba = fwd.extend, bwd.extend
-    E, P = E.tolist(), P.tolist()
-    for (e0, e1, e2, e3), (p0, p1), (f0, f1, f2, f3), (q0, q1) in zip(
-            E, P, reversed(E), reversed(P)):
+    hist = []
+    put = hist.extend
+    E, P = E.T.tolist(), P.T.tolist()
+    for e0, e1, e2, e3, p0, p1, f0, f1, f2, f3, q0, q1 in zip(
+            *E, *P, *map(reversed, E), *map(reversed, P)):
         t0 = (a0 + ln2 if a0 == a2 else a0 + log1p(exp(a2 - a0))
               if a0 > a2 else a2 + log1p(exp(a0 - a2)))
         t1 = (a1 + ln2 if a1 == a3 else a1 + log1p(exp(a3 - a1))
               if a1 > a3 else a3 + log1p(exp(a1 - a3)))
-        a0, a1, a2, a3 = t0 + p0 + e0, t0 + p1 + e1, t1 + p0 + e2, t1 + p1 + e3
-        x, y, u, v = b0 + f0 + q0, b1 + f1 + q1, b0 + f2 + q0, b1 + f3 + q1
+        a0 = t0 + p0 + e0
+        a1 = t0 + p1 + e1
+        a2 = t1 + p0 + e2
+        a3 = t1 + p1 + e3
+        x = b0 + f0 + q0
+        y = b1 + f1 + q1
+        u = b0 + f2 + q0
+        v = b1 + f3 + q1
         b0 = (x + ln2 if x == y else x + log1p(exp(y - x))
               if x > y else y + log1p(exp(x - y)))
         b1 = (u + ln2 if u == v else u + log1p(exp(v - u))
@@ -131,14 +135,17 @@ def _sweep_m2(E: np.ndarray, P: np.ndarray, out: np.ndarray) -> None:
         m = a1 if a1 > a0 else a0
         m = a2 if a2 > m else m
         m = a3 if a3 > m else m
-        a0, a1, a2, a3 = a0 - m, a1 - m, a2 - m, a3 - m
+        a0 -= m
+        a1 -= m
+        a2 -= m
+        a3 -= m
         m = b1 if b1 > b0 else b0
-        b0, b1 = b0 - m, b1 - m
-        fa((a0, a1, a2, a3))
-        ba((b0, b1))
-    N = len(E)
-    out[:, 0] = np.array(fwd).reshape(N, 4)
-    out[:, 1, :2] = np.array(bwd).reshape(N, 2)
+        b0 -= m
+        b1 -= m
+        put((a0, a1, a2, a3, b0, b1))
+    h = np.fromiter(hist, float, 6 * len(out)).reshape(-1, 6)
+    out[:, 0] = h[:, :4]
+    out[:, 1, :2] = h[:, 4:]
 
 
 def _sweep(logE: np.ndarray, logp: np.ndarray):
@@ -162,9 +169,9 @@ def _sweep(logE: np.ndarray, logp: np.ndarray):
 
     The loop runs in one of two ways, chosen by the shape alone, and both
     fill R with the same bits.  The numpy loop makes 8 ufunc calls per step
-    whatever B is: a fixed cost per call (~1 us), about 20-30 ms per sweep
+    whatever B is: a fixed cost per call (~1 us), about 12-18 ms per sweep
     at M=2, N=1600.  _sweep_m2 makes the same operations in the same order
-    on Python floats, packet by packet: a cost per element, about 3-4 ms
+    on Python floats, packet by packet: a cost per element, about 2 ms
     per packet there.  So M=2 stacks of at most SCALAR_PACKETS packets take
     _sweep_m2; larger stacks, and every other M, keep the numpy loop.
     """

@@ -91,6 +91,30 @@ def test_packets_flag_caps_total_bits(tmp_path):
     assert int(rows[0]["bits_simulated"]) == 4 * 200
 
 
+@pytest.mark.parametrize("config", [
+    # tc4's settings on tc3's default windows 2,3,7, which tc4's block rule
+    # (n_coded divisible by M) refused before the mismatch was named
+    "test_case = 4\nschemes = joint-mmsdd\n",
+    "test_case = 4\n",
+], ids=["tc4-scheme", "tc4-only"])
+def test_config_for_another_test_case_is_named(config, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(config)
+    out_dir = tmp_path / "results"
+    assert cli.main(["tc3", "--config", str(path),
+                     "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "tc3 cannot run a test case 4 config" in err
+    assert not out_dir.exists()
+
+
+def test_config_may_repeat_its_test_case(tmp_path):
+    cfg = _tiny_cfg(tmp_path, test_case=3)
+    out_dir = tmp_path / "results"
+    assert cli.main(["tc3", "--config", cfg, "--out", str(out_dir)]) == 0
+    assert (out_dir / "tc3_ber.csv").exists()
+
+
 def test_module_entry_runs_without_install():
     # the same run as the console script below, through `python -m uwbsim`
     # on the checkout's src/, so it runs where the package is not installed

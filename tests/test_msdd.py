@@ -252,26 +252,34 @@ def test_batched_sweep_matches_single_sequences(seed, m, extra, b, noise,
     "b", range(1, max(msdd.SCALAR_PACKETS + 1, 5) + 1))
 def test_m2_sweep_matches_single_sequence_loops(b):
     # M=2 stacks on both sides of the scalar-loop threshold, N from 2 to
-    # 1600, evidence over 10 decades of noise, saturated priors, and -inf
-    # evidence at most once per step so that no row is -inf throughout
-    cases = [(2, 1e-9), (3, 5.0), (50, 1e-4), (420, 0.5), (1600, 0.05),
-             (300, 0.05)]
-    for k, (n, noise) in enumerate(cases):
+    # 1600, evidence over 10 decades of noise, saturated priors, -inf
+    # evidence at most once per step so that no row is -inf throughout,
+    # and equal evidence columns under equal priors, so that each
+    # logaddexp meets finite ties (its x == y branch)
+    cases = [(2, 1e-9, None), (3, 5.0, None), (50, 1e-4, None),
+             (420, 0.5, None), (1600, 0.05, None), (300, 0.05, "holes"),
+             (200, 0.5, "ties")]
+    for k, (n, noise, kind) in enumerate(cases):
         samples, amps, sigmas, priors = _stack(100 * b + k, 2, n, b, noise,
                                                True)
         logE = np.stack([msdd.log_evidence_matrix(s, A, v)
                          for s, A, v in zip(samples, amps, sigmas)], axis=1)
-        if k == len(cases) - 1:
+        logp = np.stack([msdd._log_priors(p, n) for p in priors], axis=1)
+        if kind == "holes":
             rng = np.random.default_rng(b)
             hit = rng.random((n, b)) < 0.2
             logE[hit, rng.integers(0, 4, (n, b))[hit]] = -np.inf
-        logp = np.stack([msdd._log_priors(p, n) for p in priors], axis=1)
+        elif kind == "ties":
+            logE[...] = logE[:, :, :1]
+            logp[...] = logp[:, :, :1]
         la, lb = msdd._sweep(logE, logp)
         for j in range(b):
             assert np.array_equal(la[:, j],
                                   _forward_loop(logE[:, j], logp[:, j]))
             assert np.array_equal(lb[:, j, np.arange(4) % 2],
                                   _backward_loop(logE[:, j], logp[:, j]))
+        if kind == "ties":
+            assert (la[2:] == 0.0).all() and (lb[:-1] == 0.0).all()
 
 
 @pytest.mark.parametrize("b", [1, 2, 3, 4, 5])

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .txchain import differential_modulate
 from .waveform import ThCode
 
 
@@ -134,11 +135,9 @@ class BlockCorrSamples:
 def despread_windows(x: np.ndarray, th: ThCode, params,
                      n_windows: int) -> np.ndarray:
     """Capture windows of the de-spread signal x: row i is y(t + i*T_s), t in [0, T_g)."""
-    th.validate(params)
+    offs = th.offsets(params)
     G = params.to_samples(params.T_g)
     step = params.to_samples(params.T_s)
-    offs = [params.to_samples(j * params.T_f + c * params.T_c)
-            for j, c in enumerate(th.chips)]
     need = (n_windows - 1) * step + max(offs) + G
     if need > len(x):
         raise ValueError("capture window exceeds the received signal extent")
@@ -180,14 +179,6 @@ def sample_block(received: np.ndarray, th: ThCode, params,
     return BlockCorrSamples(vals)
 
 
-def _running_products(symbols: np.ndarray) -> np.ndarray:
-    """C[k] = a_1*...*a_k with C[0] = 1."""
-    symbols = np.asarray(symbols, dtype=float)
-    if symbols.ndim != 1 or np.any(np.abs(symbols) != 1):
-        raise ValueError("symbols must be a 1-d array of +-1")
-    return np.concatenate([[1.0], np.cumprod(symbols)])
-
-
 def generate_discrete(symbols: np.ndarray, M: int, model: NoiseModel,
                       rng: np.random.Generator) -> CorrSamples:
     """Draw overlapping samples directly from the discrete model (fast path).
@@ -195,7 +186,7 @@ def generate_discrete(symbols: np.ndarray, M: int, model: NoiseModel,
     Noise entries are i.i.d. Gaussian; the waveform path retains the true
     (weak) correlations between samples sharing a capture window.
     """
-    C = _running_products(symbols)
+    C = differential_modulate(symbols)
     N = len(symbols)
     if M < 1 or N < M:
         raise ValueError("need 1 <= M <= N")
@@ -212,7 +203,7 @@ def generate_discrete(symbols: np.ndarray, M: int, model: NoiseModel,
 def generate_discrete_blocks(symbols: np.ndarray, M: int, model: NoiseModel,
                              rng: np.random.Generator) -> BlockCorrSamples:
     """Block-sampling counterpart of generate_discrete."""
-    C = _running_products(symbols)
+    C = differential_modulate(symbols)
     N = len(symbols)
     if M < 1 or N % M != 0:
         raise ValueError("need M >= 1 and N divisible by M")

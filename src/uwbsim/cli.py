@@ -70,6 +70,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "oracle-check":
+            if args.instances < 1 or args.seed < 0:
+                raise harness.ConfigError(
+                    "oracle-check needs --instances >= 1 and --seed >= 0")
             rep = reference.run_oracle_check(args.instances, args.seed)
             print(f"app oracle:   {'PASS' if rep['app_pass'] else 'FAIL'}"
                   f" (max rel err {rep['app_max_rel_err']:.3e})")
@@ -88,12 +91,9 @@ def main(argv=None) -> int:
             for p in harness.run_testcase2(cfg, out_dir):
                 print(f"snr {p.snr_db:g} dB M={p.m}: "
                       f"MSE {p.mse:.4g} (+-{p.ci95_halfwidth:.2g})")
-        elif tc == 3:
-            for p in harness.run_testcase3(cfg, out_dir):
-                print(f"snr {p.snr_db:g} dB {p.scheme} M={p.m} {p.eg_mode}: "
-                      f"BER {p.ber:.3e} ({p.bit_errors}/{p.bits_simulated})")
         else:
-            points, traces = harness.run_testcase4(cfg, out_dir)
+            points, traces = (harness.run_testcase4(cfg, out_dir) if tc == 4
+                              else (harness.run_testcase3(cfg, out_dir), []))
             for p in points:
                 print(f"snr {p.snr_db:g} dB {p.scheme} M={p.m} {p.eg_mode}: "
                       f"BER {p.ber:.3e} ({p.bit_errors}/{p.bits_simulated})")

@@ -94,9 +94,6 @@ class ExperimentConfig:
         for eg in self.eg_modes:
             if eg not in _EG_IDS:
                 raise ConfigError(f"unknown E_g mode {eg!r}")
-        for s in self.schemes:
-            if s not in _SCHEME_IDS:
-                raise ConfigError(f"unknown scheme {s!r}")
         if not self.eg_modes or not self.m_list:
             raise ConfigError("eg_modes and m_list must be non-empty")
         allowed = _RUN_SCHEMES[self.test_case]
@@ -132,6 +129,9 @@ class ExperimentConfig:
                 self.n_symbols - m for m in range(int(self.m_list[0]))) < 1000:
             raise ConfigError("too few noise samples for a stable histogram; "
                               "raise n_packets or n_symbols")
+        # test case 2's confidence interval is a sample standard deviation
+        if self.test_case == 2 and self.n_packets < 2:
+            raise ConfigError("test case 2 needs at least 2 packets per point")
         rate = 1.0
         if self.test_case == 4:
             try:
@@ -330,10 +330,6 @@ def _ber_ci(errors: int, bits: int) -> float:
     return 1.96 * float(np.sqrt(p * (1.0 - p) / bits))
 
 
-def _random_symbols(rng: np.random.Generator, n: int) -> np.ndarray:
-    return (1 - 2 * rng.integers(0, 2, n)).astype(np.int64)
-
-
 def _fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
@@ -405,7 +401,7 @@ def run_testcase1(cfg: ExperimentConfig, out_dir=None) -> list[NoiseStats]:
             rng = _packet_rng(cfg.seed, cfg.test_case, p_idx, "noise",
                               M, "perfect", pkt)
             th = waveform.ThCode.random(params, rng)
-            a = _random_symbols(rng, cfg.n_symbols)
+            a = txchain.bits_to_symbols(rng.integers(0, 2, cfg.n_symbols))
             samples = _waveform_packet(a, params, th, ch, model.N0, rng, M)
             signal = acr.generate_discrete(a, M, noiseless, rng).values
             chunks.append((samples.values - signal)[~samples.pad_mask])
@@ -466,7 +462,7 @@ def run_testcase2(cfg: ExperimentConfig, out_dir=None) -> list[MsePoint]:
             else:
                 E_g = 1.0
             model = _noise_model(snr, E_g, 1.0, params)
-            a = _random_symbols(rng, cfg.n_symbols)
+            a = txchain.bits_to_symbols(rng.integers(0, 2, cfg.n_symbols))
             samples = acr.generate_discrete(a, m_max, model, rng)
             for m in m_list:
                 sub = acr.CorrSamples(samples.values[:, :m])
@@ -547,7 +543,7 @@ def _uncoded_packet(cfg, params, n_use, point, pkt):
     rng = _packet_rng(cfg.seed, cfg.test_case, p_idx, scheme, m, eg_mode, pkt)
     if cfg.path == "discrete":
         model = _noise_model(snr, 1.0, 1.0, params)
-        a = _random_symbols(rng, n_use)
+        a = txchain.bits_to_symbols(rng.integers(0, 2, n_use))
         if scheme == "bmsdd":
             samples = acr.generate_discrete_blocks(a, m, model, rng)
         else:
@@ -560,7 +556,7 @@ def _uncoded_packet(cfg, params, n_use, point, pkt):
         model = _noise_model(snr, chmod.effective_captured_energy(ch, params),
                              1.0, params)
         th = waveform.ThCode.random(params, rng)
-        a = _random_symbols(rng, n_use)
+        a = txchain.bits_to_symbols(rng.integers(0, 2, n_use))
         samples = _waveform_packet(a, params, th, ch, model.N0, rng,
                                    m if scheme != "dd" else 1,
                                    block=(scheme == "bmsdd"))

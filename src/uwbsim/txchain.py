@@ -22,10 +22,10 @@ class InterleaverMap:
     inverse: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.perm = np.asarray(self.perm, dtype=int)
         n = len(self.perm)
-        if sorted(self.perm.tolist()) != list(range(n)):
+        if sorted(np.asarray(self.perm).tolist()) != list(range(n)):
             raise ValueError("perm must be a permutation of 0..n-1")
+        self.perm = np.asarray(self.perm, dtype=int)
         inv = np.empty(n, dtype=int)
         inv[self.perm] = np.arange(n)
         self.inverse = inv
@@ -51,18 +51,18 @@ def deinterleave(x: np.ndarray, imap: InterleaverMap) -> np.ndarray:
 
 def bits_to_symbols(bits: np.ndarray) -> np.ndarray:
     """Map bits to antipodal symbols, 0 -> +1 and 1 -> -1."""
-    bits = np.asarray(bits, dtype=int)
+    bits = np.asarray(bits)
     if np.any((bits != 0) & (bits != 1)):
         raise ValueError("bits must be 0/1")
-    return 1 - 2 * bits
+    return 1 - 2 * bits.astype(int)
 
 
 def differential_modulate(symbols: np.ndarray) -> np.ndarray:
     """Return d_0..d_N for data symbols a_1..a_N, with d_0 = +1."""
-    symbols = np.asarray(symbols, dtype=int)
+    symbols = np.asarray(symbols)
     if symbols.ndim != 1 or np.any(np.abs(symbols) != 1):
         raise ValueError("symbols must be a 1-d array of +-1")
     d = np.empty(len(symbols) + 1, dtype=int)
     d[0] = 1
-    np.cumprod(symbols, out=d[1:])
+    np.cumprod(symbols.astype(int), out=d[1:])
     return d

@@ -22,15 +22,19 @@ class ThCode:
     chips: np.ndarray
 
     def __post_init__(self):
-        self.chips = np.asarray(self.chips, dtype=int)
-        if self.chips.ndim != 1:
+        chips = np.asarray(self.chips)
+        self.chips = chips.astype(int)
+        if chips.ndim != 1 or np.any(self.chips != chips):
             raise ValueError("chips must be a 1-d integer array")
 
-    def validate(self, params) -> None:
+    def offsets(self, params) -> list[int]:
+        """Checked hop offsets j*T_f + c_j*T_c of the frames, in samples."""
         if len(self.chips) != params.N_f:
             raise ValueError("need one chip per frame")
         if np.any(self.chips < 0) or np.any(self.chips >= params.N_c):
             raise ValueError("chip indices must lie in [0, N_c)")
+        return [params.to_samples(j * params.T_f + c * params.T_c)
+                for j, c in enumerate(self.chips)]
 
     @classmethod
     def random(cls, params, rng: np.random.Generator) -> "ThCode":
@@ -66,11 +70,9 @@ def transmit(diff_symbols: np.ndarray, params, th: ThCode,
     d = np.asarray(diff_symbols, dtype=float)
     if d.ndim != 1 or d.size == 0 or np.any(np.abs(d) != 1):
         raise ValueError("diff_symbols must be a non-empty 1-d array of +-1")
-    th.validate(params)
+    offs = th.offsets(params)
     pulse = monocycle(params)
     step = params.to_samples(params.T_s)
-    offs = [params.to_samples(j * params.T_f + c * params.T_c)
-            for j, c in enumerate(th.chips)]
     if max(offs) + len(pulse) > step:
         raise ValueError("hopped pulse spills out of its frame")
     g = apply_channel(pulse, channel, params)

@@ -36,6 +36,15 @@ def test_oracle_check_success(capsys):
     assert "block oracle: PASS" in out
 
 
+@pytest.mark.parametrize("argv", [["--seed", "-1"], ["--instances", "0"],
+                                  ["--instances", "-3"]])
+def test_oracle_check_refuses_bad_arguments(argv, capsys):
+    # a negative seed died in numpy; no instances printed PASS unchecked
+    assert cli.main(["oracle-check", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert "config error" in err and "PASS" not in out
+
+
 def test_tc3_runs_and_writes_csv(tmp_path, capsys):
     cfg = _tiny_cfg(tmp_path)
     out_dir = tmp_path / "results"

@@ -103,7 +103,10 @@ def test_validate_rejects_settings_tc1_and_tc2_ignore(tc, patch):
 
 @pytest.mark.parametrize("argv", [["tc2", "--eg", "estimated"],
                                   ["tc1", "--eg", "estimated"],
-                                  ["tc1", "--m", "3,7"]])
+                                  ["tc1", "--m", "3,7"],
+                                  # one packet wrote a NaN confidence interval
+                                  ["tc2", "--packets", "1", "--snr-db", "10",
+                                   "--m", "2"]])
 def test_cli_refuses_ignored_tc1_tc2_settings(argv, tmp_path, capsys):
     assert cli.main([*argv, "--out", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from uwbsim import beliefs, txchain
+from uwbsim import acr, beliefs, txchain, waveform
 
 
 def test_differential_modulate_identity_chain():
@@ -26,6 +26,23 @@ def test_differential_modulate_alternating_chain():
 def test_differential_modulate_rejects_non_binary():
     with pytest.raises(ValueError):
         txchain.differential_modulate(np.array([1, 0, -1]))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: txchain.differential_modulate([1.5, -1.2, 1]),
+    lambda: txchain.bits_to_symbols([0.5, 1]),
+    lambda: txchain.InterleaverMap([0.5, 1.7]),
+    lambda: waveform.ThCode(np.full(10, 0.7)),
+    # the discrete generators take their products from differential_modulate
+    lambda: acr.generate_discrete([1.5, -1.0, 1.0], 2,
+                                  acr.NoiseModel(10, 1.0, 0.0, 1e9, 1e-8),
+                                  np.random.default_rng(0)),
+], ids=["differential_modulate", "bits_to_symbols", "InterleaverMap",
+        "ThCode", "generate_discrete"])
+def test_fractional_input_is_refused_before_the_integer_cast(make):
+    # each used to cast to int first and accept the truncated values
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_differential_round_trip_exhaustive():

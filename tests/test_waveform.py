@@ -81,9 +81,9 @@ def test_symbol_waveform_energy_is_nf_pulse_energies():
 
 def test_thcode_validation():
     with pytest.raises(ValueError):
-        waveform.ThCode(np.array([0, 1])).validate(P)          # wrong length
+        waveform.ThCode(np.array([0, 1])).offsets(P)           # wrong length
     with pytest.raises(ValueError):
-        waveform.ThCode(np.full(P.N_f, P.N_c)).validate(P)     # chip too large
+        waveform.ThCode(np.full(P.N_f, P.N_c)).offsets(P)      # chip too large
 
 
 def test_transmit_reference_only():

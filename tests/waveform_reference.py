@@ -14,7 +14,7 @@ from uwbsim import waveform
 
 def symbol_waveform(params, th: waveform.ThCode) -> np.ndarray:
     """One symbol's pulse train: N_f hopped copies of the monocycle over [0, T_s)."""
-    th.validate(params)
+    th.offsets(params)
     pulse = waveform.monocycle(params)
     n = params.to_samples(params.T_s)
     out = np.zeros(n)

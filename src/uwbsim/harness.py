@@ -47,6 +47,9 @@ _EG_IDS = {"perfect": 0, "estimated": 1}
 # the schemes each campaign runs
 _RUN_SCHEMES = {1: {"noise"}, 2: {"estimate"}, 3: {"dd", "bmsdd", "mmsdd"},
                 4: {"joint-mmsdd", "joint-bmsdd"}}
+# the code, turbo-loop and trace settings only test case 4 reads
+_TC4_FIELDS = ("k_info", "n_coded", "outer_iters", "inner_iters",
+               "trace_snr_db", "trace_schemes", "trace_packets")
 # trace runs use point indices offset by this so they never share a stream
 # with the BER sweep of the same test case
 _TRACE_POINT_BASE = 1000
@@ -103,6 +106,12 @@ class ExperimentConfig:
         if not (self.schemes and named <= allowed):
             raise ConfigError(f"test case {self.test_case} runs schemes from "
                               f"{sorted(allowed)}; got {sorted(named) or 'none'}")
+        if self.test_case != 4:
+            base = ExperimentConfig(self.test_case)
+            moved = [f for f in _TC4_FIELDS
+                     if getattr(self, f) != getattr(base, f)]
+            if moved:
+                raise ConfigError(f"only test case 4 reads {', '.join(moved)}")
         # test cases 1 and 2 know the energy and sample one window size
         if self.test_case in (1, 2) and set(self.eg_modes) != {"perfect"}:
             raise ConfigError(f"test case {self.test_case} runs only the "

@@ -94,58 +94,40 @@ BATCH_ELEMENTS = 1 << 19
 # the merge runs over blocks of steps of about this many elements (256 KB),
 # so its working set stays in cache
 MERGE_ELEMENTS = 1 << 15
-# M=2 stacks of at most this many packets sweep on Python floats: the
-# largest B at which that loop beats the numpy loop at N = 420 and 1600
-SCALAR_PACKETS = 8
 
 
-def _sweep_m2(E: np.ndarray, P: np.ndarray, out: np.ndarray) -> None:
-    """The numpy loop's float operations, in its order, for one M=2 packet.
+@functools.cache
+def _compiled_sweep():
+    """_sweep.c's sweep loaded through ctypes, or None without it.
 
-    E is the packet's (N, 4) evidence and P its (N, 2) log priors, read as
-    column lists; out is its (N, 2, 4) view of R[1:], filled at the end
-    from one flat history.  Each logaddexp is inlined in npy_logaddexp's
-    branch order: x == y gives x + ln 2, then the d = x - y > 0 branch,
-    tested as x > y (the same for unequal floats), then d <= 0.
+    Built the first time a sweep runs, never at import, with the system C
+    compiler into a temporary directory.  Any failure (no compiler, a
+    failed or slow compile, a library that does not load) gives None, and
+    _sweep runs the numpy loop instead.
     """
-    exp, log1p, ln2 = math.exp, math.log1p, math.log(2.0)
-    a0, a1, a2, a3, b0, b1 = 0.0, -math.inf, -math.inf, -math.inf, 0.0, 0.0
-    hist = []
-    put = hist.extend
-    E, P = E.T.tolist(), P.T.tolist()
-    for e0, e1, e2, e3, p0, p1, f0, f1, f2, f3, q0, q1 in zip(
-            *E, *P, *map(reversed, E), *map(reversed, P)):
-        t0 = (a0 + ln2 if a0 == a2 else a0 + log1p(exp(a2 - a0))
-              if a0 > a2 else a2 + log1p(exp(a0 - a2)))
-        t1 = (a1 + ln2 if a1 == a3 else a1 + log1p(exp(a3 - a1))
-              if a1 > a3 else a3 + log1p(exp(a1 - a3)))
-        a0 = t0 + p0 + e0
-        a1 = t0 + p1 + e1
-        a2 = t1 + p0 + e2
-        a3 = t1 + p1 + e3
-        x = b0 + f0 + q0
-        y = b1 + f1 + q1
-        u = b0 + f2 + q0
-        v = b1 + f3 + q1
-        b0 = (x + ln2 if x == y else x + log1p(exp(y - x))
-              if x > y else y + log1p(exp(x - y)))
-        b1 = (u + ln2 if u == v else u + log1p(exp(v - u))
-              if u > v else v + log1p(exp(u - v)))
-        # the row max as max() takes it (the first of equal values)
-        m = a1 if a1 > a0 else a0
-        m = a2 if a2 > m else m
-        m = a3 if a3 > m else m
-        a0 -= m
-        a1 -= m
-        a2 -= m
-        a3 -= m
-        m = b1 if b1 > b0 else b0
-        b0 -= m
-        b1 -= m
-        put((a0, a1, a2, a3, b0, b1))
-    h = np.fromiter(hist, float, 6 * len(out)).reshape(-1, 6)
-    out[:, 0] = h[:, :4]
-    out[:, 1, :2] = h[:, 4:]
+    import ctypes
+    import pathlib
+    import shutil
+    import subprocess
+    import tempfile
+
+    cc = shutil.which("cc")
+    if cc is None:
+        return None
+    src = pathlib.Path(__file__).with_name("_sweep.c")
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            lib = pathlib.Path(tmp, "_sweep.so")
+            subprocess.run([cc, "-O2", "-fno-tree-vectorize",
+                            "-ffp-contract=off", "-shared", "-fPIC",
+                            str(src), "-o", str(lib), "-lm"],
+                           check=True, capture_output=True, timeout=60)
+            fn = ctypes.CDLL(str(lib)).sweep
+    except (OSError, subprocess.SubprocessError, AttributeError):
+        return None
+    fn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long] * 3
+    fn.restype = None
+    return fn
 
 
 def _sweep(logE: np.ndarray, logp: np.ndarray):
@@ -167,24 +149,27 @@ def _sweep(logE: np.ndarray, logp: np.ndarray):
     and exactly: a -inf entry never raises a row max, and -inf minus the
     finite max stays -inf.  alpha and beta come back as views of R.
 
-    The loop runs in one of two ways, chosen by the shape alone, and both
-    fill R with the same bits.  The numpy loop makes 8 ufunc calls per step
-    whatever B is: a fixed cost per call (~1 us), about 12-18 ms per sweep
-    at M=2, N=1600.  _sweep_m2 makes the same operations in the same order
-    on Python floats, packet by packet: a cost per element, about 2 ms
-    per packet there.  So M=2 stacks of at most SCALAR_PACKETS packets take
-    _sweep_m2; larger stacks, and every other M, keep the numpy loop.
+    The loop runs in one of two ways, and both fill R with the same bits.
+    The compiled kernel (_sweep.c) makes the numpy loop's float operations
+    in its order, packet by packet, and runs whenever it loaded.  The numpy
+    loop makes 8 ufunc calls per step whatever B is, a fixed cost of about
+    1 us per call; it is the reference the kernel is tested against, and
+    the path on a host without a C compiler.
     """
     N, B, S = logE.shape
+    if logp.shape != (N, B, 2):
+        raise ValueError("log priors must have shape (N, B, 2)")
     half = S >> 1
     R = np.empty((N + 1, 2, B, S))
     R[0, 0] = -np.inf
     R[0, 0, :, 0] = 0.0
     R[0, 1, :, :half] = 0.0
     R[:, 1, :, half:] = -np.inf
-    if S == 4 and B <= SCALAR_PACKETS:
-        for j in range(B):
-            _sweep_m2(logE[:, j], logp[:, j], R[1:, :, j])
+    kernel = _compiled_sweep()
+    if kernel is not None:
+        E = np.ascontiguousarray(logE, dtype=float)
+        P = np.ascontiguousarray(logp, dtype=float)
+        kernel(E.ctypes.data, P.ctypes.data, R.ctypes.data, N, B, S)
         return R[:, 0], R[::-1, 1, :, :half]
     t = np.empty((B, half))
     t3 = t[:, :, None]

@@ -107,6 +107,8 @@ def _random_model(rng) -> NoiseModel:
 
 def run_oracle_check(n_instances: int = 200, seed: int = 0) -> dict:
     """Randomized detector-vs-enumeration comparison; returns a report dict."""
+    if n_instances < 1 or seed < 0:
+        raise ValueError("need n_instances >= 1 and seed >= 0")
     rng = np.random.default_rng(seed)
     worst_app = 0.0
     for _ in range(n_instances):

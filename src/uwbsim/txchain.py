@@ -23,7 +23,7 @@ class InterleaverMap:
 
     def __post_init__(self):
         n = len(self.perm)
-        if sorted(np.asarray(self.perm).tolist()) != list(range(n)):
+        if not np.array_equal(np.sort(self.perm), np.arange(n)):
             raise ValueError("perm must be a permutation of 0..n-1")
         self.perm = np.asarray(self.perm, dtype=int)
         inv = np.empty(n, dtype=int)
@@ -39,14 +39,14 @@ def interleave(x: np.ndarray, imap: InterleaverMap) -> np.ndarray:
     x = np.asarray(x)
     if x.shape[0] != len(imap.perm):
         raise ValueError("length mismatch with interleaver")
-    return x[imap.perm]
+    return np.take(x, imap.perm, axis=0)
 
 
 def deinterleave(x: np.ndarray, imap: InterleaverMap) -> np.ndarray:
     x = np.asarray(x)
     if x.shape[0] != len(imap.perm):
         raise ValueError("length mismatch with interleaver")
-    return x[imap.inverse]
+    return np.take(x, imap.inverse, axis=0)
 
 
 def bits_to_symbols(bits: np.ndarray) -> np.ndarray:

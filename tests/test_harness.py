@@ -101,6 +101,35 @@ def test_validate_rejects_settings_tc1_and_tc2_ignore(tc, patch):
         cfg.validate()
 
 
+def test_validate_refuses_trace_settings_on_tc3():
+    # tc3 ran and ignored a trace of an unknown scheme
+    cfg = replace(default_config(3), trace_schemes=("foo",), trace_packets=7,
+                  outer_iters=3)
+    with pytest.raises(ConfigError, match="only test case 4"):
+        cfg.validate()
+
+
+def test_validate_refuses_code_size_on_tc2():
+    with pytest.raises(ConfigError, match="k_info"):
+        replace(default_config(2), k_info=7).validate()
+
+
+@pytest.mark.parametrize("tc", [1, 2, 3])
+@pytest.mark.parametrize("patch", [
+    dict(k_info=400), dict(n_coded=800), dict(outer_iters=3),
+    dict(inner_iters=20), dict(trace_snr_db=(13.0,)),
+    dict(trace_schemes=("joint-bmsdd",)), dict(trace_packets=5)])
+def test_validate_refuses_tc4_settings_elsewhere(tc, patch):
+    with pytest.raises(ConfigError, match="only test case 4"):
+        replace(default_config(tc), **patch).validate()
+
+
+@pytest.mark.parametrize("tc", [1, 2, 3])
+def test_cli_defaults_pass_the_tc4_settings_rule(tc):
+    for argv in ([f"tc{tc}"], [f"tc{tc}", "--packets", "9"]):
+        cli._build_config(tc, cli.build_parser().parse_args(argv)).validate()
+
+
 @pytest.mark.parametrize("argv", [["tc2", "--eg", "estimated"],
                                   ["tc1", "--eg", "estimated"],
                                   ["tc1", "--m", "3,7"],
@@ -201,7 +230,9 @@ def _assert_finite_rows(out_dir):
 @pytest.mark.parametrize("snr", ["300", "-300"])
 def test_extreme_representable_snr_runs(tc, snr, tmp_path):
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text(f"trace_snr_db = {snr}\ntrace_packets = 1\n")
+    # only tc4 traces; tc3 refuses trace settings it would ignore
+    cfg_file.write_text(f"trace_snr_db = {snr}\ntrace_packets = 1\n"
+                        if tc == 4 else "")
     out = tmp_path / "out"
     assert cli.main([f"tc{tc}", "--config", str(cfg_file), "--snr-db", snr,
                      "--packets", "1", "--m", "2", "--out", str(out)]) == 0
@@ -372,18 +403,21 @@ def test_removed_config_keys_are_refused(key, tmp_path, capsys):
 def test_config_fields_parse_by_type_and_flags_name_fields():
     # ExperimentConfig is the only schema: each key parses by its field's
     # type, and each CLI flag sets the field its dest names
-    raw = {"test_case": "3", "snr_db": "8.5, 9", "m_list": "2,3",
+    # a tc4 config, as only test case 4 reads every field
+    raw = {"test_case": "4", "snr_db": "8.5, 9", "m_list": "2,4",
            "n_symbols": "300", "k_info": "400", "n_coded": "800",
            "target_errors": "7", "max_bits": "9000", "n_packets": "4",
            "seed": "5", "path": "discrete", "channel_mode": "cm2",
-           "eg_modes": "perfect, estimated", "schemes": "dd,mmsdd",
+           "eg_modes": "perfect, estimated",
+           "schemes": "joint-mmsdd,joint-bmsdd",
            "outer_iters": "3", "inner_iters": "4", "trace_snr_db": "13",
            "trace_schemes": "joint-bmsdd", "trace_packets": "6",
            "out_dir": "results"}
-    want = dict(test_case=3, snr_db=(8.5, 9.0), m_list=(2, 3), n_symbols=300,
+    want = dict(test_case=4, snr_db=(8.5, 9.0), m_list=(2, 4), n_symbols=300,
                 k_info=400, n_coded=800, target_errors=7, max_bits=9000,
                 n_packets=4, seed=5, path="discrete", channel_mode="cm2",
-                eg_modes=("perfect", "estimated"), schemes=("dd", "mmsdd"),
+                eg_modes=("perfect", "estimated"),
+                schemes=("joint-mmsdd", "joint-bmsdd"),
                 outer_iters=3, inner_iters=4, trace_snr_db=(13.0,),
                 trace_schemes=("joint-bmsdd",), trace_packets=6,
                 out_dir="results")
@@ -396,8 +430,9 @@ def test_config_fields_parse_by_type_and_flags_name_fields():
         if isinstance(value, tuple):
             assert [type(v) for v in got] == [type(v) for v in value], name
     # one rule for every list field: blank entries are dropped
-    blanks = {"snr_db": "8.5, ,9,", "m_list": ",2,,3", "trace_snr_db": " 13 ,",
-              "eg_modes": "perfect, ,estimated", "schemes": "dd,,mmsdd,",
+    blanks = {"snr_db": "8.5, ,9,", "m_list": ",2,,4", "trace_snr_db": " 13 ,",
+              "eg_modes": "perfect, ,estimated",
+              "schemes": "joint-mmsdd,,joint-bmsdd,",
               "trace_schemes": ", joint-bmsdd"}
     assert apply_overrides(cfg, blanks) == cfg
     assert apply_overrides(cfg, {"trace_snr_db": ""}).trace_snr_db == ()

@@ -1,6 +1,12 @@
 """Trellis detectors: structure, evidence, sweep, oracles, block variant."""
 
+import contextlib
+import os
+import shutil
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -164,6 +170,21 @@ def test_forward_point_mass_on_noiseless_symbols():
         assert alpha[i, state] > 1.0 - 1e-12
 
 
+# the compiled kernel and the numpy loop must fill the sweep with the same
+# bits; the numpy loop is the reference, run as on a host without a compiler
+SWEEP_PATHS = ("kernel", "numpy")
+
+
+@contextlib.contextmanager
+def _sweep_path(path):
+    """Run the sweep on one path; without a compiler both are the loop."""
+    if path == "numpy":
+        with mock.patch.object(msdd, "_compiled_sweep", return_value=None):
+            yield
+    else:
+        yield
+
+
 def _forward_loop(logE, logp):
     """Reference: the per-sequence forward loop with gathered predecessors."""
     N, S = logE.shape
@@ -227,6 +248,14 @@ def test_batched_sweep_matches_single_sequences(seed, m, extra, b, noise,
     logE = np.stack([msdd.log_evidence_matrix(s, A, v)
                      for s, A, v in zip(samples, amps, sigmas)], axis=1)
     logp = np.stack([msdd._log_priors(p, n) for p in priors], axis=1)
+    for path in SWEEP_PATHS:
+        with _sweep_path(path):
+            _check_batched_sweep(samples, amps, sigmas, priors, m, logE,
+                                 logp)
+
+
+def _check_batched_sweep(samples, amps, sigmas, priors, m, logE, logp):
+    n, b, _ = logE.shape
     la, lb = msdd._sweep(logE, logp)
     lg = msdd._merge_log(la, lb, logE.copy())
     hard = msdd.detect_mmsdd(samples, m, amps, sigmas)
@@ -248,14 +277,13 @@ def test_batched_sweep_matches_single_sequences(seed, m, extra, b, noise,
         assert np.array_equal(hard[j], beliefs.hard(app))
 
 
-@pytest.mark.parametrize(
-    "b", range(1, max(msdd.SCALAR_PACKETS + 1, 5) + 1))
+@pytest.mark.parametrize("b", range(1, 10))
 def test_m2_sweep_matches_single_sequence_loops(b):
-    # M=2 stacks on both sides of the scalar-loop threshold, N from 2 to
-    # 1600, evidence over 10 decades of noise, saturated priors, -inf
-    # evidence at most once per step so that no row is -inf throughout,
-    # and equal evidence columns under equal priors, so that each
-    # logaddexp meets finite ties (its x == y branch)
+    # M=2 stacks through the kernel and the numpy loop, N from 2 to 1600,
+    # evidence over 10 decades of noise, saturated priors, -inf evidence
+    # at most once per step so that no row is -inf throughout, and equal
+    # evidence columns under equal priors, so that each logaddexp meets
+    # finite ties (its x == y branch)
     cases = [(2, 1e-9, None), (3, 5.0, None), (50, 1e-4, None),
              (420, 0.5, None), (1600, 0.05, None), (300, 0.05, "holes"),
              (200, 0.5, "ties")]
@@ -272,14 +300,86 @@ def test_m2_sweep_matches_single_sequence_loops(b):
         elif kind == "ties":
             logE[...] = logE[:, :, :1]
             logp[...] = logp[:, :, :1]
+        for path in SWEEP_PATHS:
+            with _sweep_path(path):
+                la, lb = msdd._sweep(logE, logp)
+            for j in range(b):
+                assert np.array_equal(la[:, j],
+                                      _forward_loop(logE[:, j], logp[:, j]))
+                assert np.array_equal(lb[:, j, np.arange(4) % 2],
+                                      _backward_loop(logE[:, j], logp[:, j]))
+            if kind == "ties":
+                assert (la[2:] == 0.0).all() and (lb[:-1] == 0.0).all()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_sweep_paths_agree_on_non_finite_rows(m):
+    # +inf and -inf evidence, which msdd_app refuses, give NaN rows and
+    # rows that are NaN in some states only, so the row max meets NaN first
+    # and later in a row and must follow np.maximum's rule on both paths
+    rng = np.random.default_rng(40 + m)
+    n, b, S = 60, 3, 2 ** m
+    logE = -rng.exponential(3.0, (n, b, S))
+    hit = rng.random((n, b)) < 0.15
+    logE[hit, rng.integers(0, S, (n, b))[hit]] = np.inf
+    hit = rng.random((n, b)) < 0.3
+    logE[hit, rng.integers(0, S, (n, b))[hit]] = -np.inf
+    logp = np.log(rng.uniform(0.01, 1.0, (n, b, 2)))
+    with np.errstate(invalid="ignore"):
         la, lb = msdd._sweep(logE, logp)
-        for j in range(b):
-            assert np.array_equal(la[:, j],
-                                  _forward_loop(logE[:, j], logp[:, j]))
-            assert np.array_equal(lb[:, j, np.arange(4) % 2],
-                                  _backward_loop(logE[:, j], logp[:, j]))
-        if kind == "ties":
-            assert (la[2:] == 0.0).all() and (lb[:-1] == 0.0).all()
+        with _sweep_path("numpy"):
+            na, nb = msdd._sweep(logE, logp)
+    assert np.isnan(la).any() and not np.isnan(la).all()
+    assert np.array_equal(la, na, equal_nan=True)
+    assert np.array_equal(lb, nb, equal_nan=True)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_sweep_kernel_builds_with_a_compiler():
+    assert msdd._compiled_sweep() is not None
+
+
+@pytest.mark.parametrize("cc", [None, "exit 1", "exit 0"],
+                         ids=["no-compiler", "compile-fails", "no-library"])
+def test_missing_or_failing_compiler_runs_numpy_loop(cc, tmp_path):
+    samples, amps, sigmas, priors = _stack(31, 3, 300, 3, 0.05, True)
+    want = msdd.msdd_app(samples, 3, amps, sigmas, priors)
+    if cc is not None:
+        script = tmp_path / "cc"
+        script.write_text(f"#!/bin/sh\n{cc}\n")
+        script.chmod(0o755)
+        cc = str(script)
+    msdd._compiled_sweep.cache_clear()
+    try:
+        with mock.patch("shutil.which", return_value=cc):
+            assert msdd._compiled_sweep() is None
+            got = msdd.msdd_app(samples, 3, amps, sigmas, priors)
+    finally:
+        msdd._compiled_sweep.cache_clear()
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_import_and_default_code_build_no_kernel():
+    # a process that only imports the package and loads the default code
+    # (the benchmark's set-up span) never builds the kernel
+    src = os.path.dirname(os.path.dirname(msdd.__file__))
+    code = ("import uwbsim; from uwbsim import ldpc, msdd; "
+            "ldpc.default_code(); "
+            "print(msdd._compiled_sweep.cache_info().misses)")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src), check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "0"
+
+
+def test_sweep_source_ships_as_package_data():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as f:
+        data = tomllib.load(f)["tool"]["setuptools"]["package-data"]
+    assert "_sweep.c" in data["uwbsim"]
+    assert (root / "src" / "uwbsim" / "_sweep.c").is_file()
 
 
 @pytest.mark.parametrize("b", [1, 2, 3, 4, 5])
@@ -331,25 +431,6 @@ def test_from_log_matches_frozen_reduction(shape):
         assert got.shape == want.shape == logp.shape
         assert got.tobytes() == want.tobytes()
         assert np.isnan(got).sum() == 2
-
-
-def test_m2_sweep_takes_scalar_loop_up_to_threshold():
-    # the scalar loop makes no numpy ufunc call; the numpy loop does
-    rng = np.random.default_rng(18)
-    patch = mock.patch.object(np, "logaddexp",
-                              side_effect=AssertionError("numpy loop"))
-    for b in range(1, msdd.SCALAR_PACKETS + 2):
-        logE = -rng.exponential(3.0, (40, b, 4))
-        logp = np.log(rng.uniform(0.01, 1.0, (40, b, 2)))
-        with patch:
-            if b <= msdd.SCALAR_PACKETS:
-                msdd._sweep(logE, logp)
-            else:
-                with pytest.raises(AssertionError, match="numpy loop"):
-                    msdd._sweep(logE, logp)
-    with patch, pytest.raises(AssertionError, match="numpy loop"):
-        msdd._sweep(-rng.exponential(3.0, (40, 1, 8)),
-                    np.log(rng.uniform(0.01, 1.0, (40, 1, 2))))
 
 
 def test_m2_merge_takes_column_path():
@@ -434,6 +515,13 @@ def test_oracle_suite_frozen_subset():
     assert out["app_pass"] and out["block_pass"]
     assert out["app_max_rel_err"] <= 1e-9
     assert out["block_max_abs_err"] <= 1e-12
+
+
+@pytest.mark.parametrize("n_instances, seed", [(0, 0), (-3, 0), (5, -1)])
+def test_oracle_check_refuses_empty_or_negative_arguments(n_instances, seed):
+    # (0, 0) compared nothing and reported PASS
+    with pytest.raises(ValueError):
+        reference.run_oracle_check(n_instances, seed)
 
 
 def test_app_is_prior_times_extrinsic():

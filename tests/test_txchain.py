@@ -107,6 +107,14 @@ def test_interleave_inverse_composition_is_identity():
     assert np.array_equal(imap.inverse[imap.perm], np.arange(32))
 
 
+def test_interleave_moves_belief_rows():
+    rng = np.random.default_rng(5)
+    imap = txchain.InterleaverMap.random(40, rng)
+    x = rng.random((40, 2))
+    assert np.array_equal(txchain.interleave(x, imap), x[imap.perm])
+    assert np.array_equal(txchain.deinterleave(x, imap), x[imap.inverse])
+
+
 def test_interleave_length_mismatch():
     imap = txchain.InterleaverMap(np.arange(4))
     with pytest.raises(ValueError):
